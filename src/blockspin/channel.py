@@ -10,14 +10,13 @@ correlation functional.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeError, StabilizerCode
-from .pauli import Pauli, commutes, contains, multiply
+from .codes import StabilizerCode, _logical_class_index
+from .pauli import Pauli
 
 _LOGICAL_NAMES = ("I", "X", "Y", "Z")
 
@@ -115,10 +114,6 @@ class LogicalActionTable:
         syn = np.zeros((n_err, len(gens)), dtype=np.uint8)
         for j, g in enumerate(gens):
             syn[:, j] = (xs @ g.z_bits + zs @ g.x_bits) % 2
-        # Logical class = class(recovery) xor-composed with class of the error
-        # relative to the coset structure; compute directly per error via the
-        # symplectic pairing with the logical operators after recovery.
-        lx, lz = code.logical_x[0], code.logical_z[0]
         n_syn = 2 ** len(gens)
         pow2 = 2 ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
         rec_x_by_syn = np.full((n_syn, n), 255, dtype=np.uint8)
@@ -130,16 +125,10 @@ class LogicalActionTable:
         if np.any(rec_x_by_syn == 255):
             raise ChannelError("incomplete recovery table")
         syn_idx = syn.astype(np.int64) @ pow2
-        res_x = xs ^ rec_x_by_syn[syn_idx]
-        res_z = zs ^ rec_z_by_syn[syn_idx]
-        # residual commutes with all checks; logical X content = pairing with
-        # Zbar, logical Z content = pairing with Xbar.
-        has_x = (res_x @ lz.z_bits + res_z @ lz.x_bits) % 2
-        has_z = (res_x @ lx.z_bits + res_z @ lx.x_bits) % 2
-        classes = np.zeros(n_err, dtype=np.uint8)
-        classes[(has_x == 1) & (has_z == 0)] = 1
-        classes[(has_x == 1) & (has_z == 1)] = 2
-        classes[(has_x == 0) & (has_z == 1)] = 3
+        # the recovered residuals are syndrome-free
+        classes = _logical_class_index(
+            code, xs ^ rec_x_by_syn[syn_idx], zs ^ rec_z_by_syn[syn_idx]
+        )
         return cls(code=code, comps=comps, cls=classes)
 
 

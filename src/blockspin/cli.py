@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -22,7 +21,6 @@ from .channel import (
     classify_error,
     flow,
     memory_support,
-    order_parameter,
     threshold,
 )
 from .codes import (
@@ -60,7 +58,6 @@ from .tiling import (
 from .toric_rescale import (
     ToricError,
     ToricState,
-    block_entropy,
     cardinality_scan,
     generator_support_svg,
     rescaled_plaquette,

@@ -18,7 +18,9 @@ from .pauli import (
     Pauli,
     PauliError,
     StabilizerGroup,
-    canonicalize,
+    _pack_rows,
+    _rref,
+    _symplectic_rows,
     commutes,
     contains,
     gf2_rank,
@@ -59,10 +61,7 @@ class StabilizerCode:
     def validate(self) -> None:
         """Check generator independence, commutation, and logical pairing."""
         self.stabilizer.check_commuting()
-        mat = np.array(
-            [np.concatenate([g.x_bits, g.z_bits]) for g in self.stabilizer.generators],
-            dtype=np.uint8,
-        )
+        mat = _symplectic_rows(self.stabilizer.generators, self.n)
         if gf2_rank(mat) != self.n - self.k:
             raise CodeError("stabilizer generators are not independent")
         for i, (lx, lz) in enumerate(zip(self.logical_x, self.logical_z)):
@@ -96,17 +95,9 @@ class StabilizerCode:
         """Classify a syndrome-free Pauli as logical I, X, Y or Z (k=1 only)."""
         if self.k != 1:
             raise CodeError("logical_class requires k=1")
-        candidates = {
-            "I": residual,
-            "X": multiply(self.logical_x[0], residual),
-            "Z": multiply(self.logical_z[0], residual),
-            "Y": multiply(multiply(self.logical_x[0], self.logical_z[0]), residual),
-        }
-        for name, op in candidates.items():
-            status, _ = contains(self.stabilizer, op)
-            if status in ("member", "member_up_to_phase"):
-                return name
-        raise CodeError(f"{residual} carries a nonzero syndrome")
+        if any(self.syndrome(residual)):
+            raise CodeError(f"{residual} carries a nonzero syndrome")
+        return "IXYZ"[_logical_class_index(self, residual.x_bits, residual.z_bits)]
 
     def to_json(self) -> str:
         doc = {
@@ -138,6 +129,22 @@ class StabilizerCode:
                 for s, p in doc["recovery"].items()
             },
         )
+
+
+_PAIRINGS_TO_CLASS = np.array([[0, 3], [1, 2]], dtype=np.uint8)
+
+
+def _logical_class_index(code: StabilizerCode, x: np.ndarray, z: np.ndarray):
+    """Logical class 0..3 (I, X, Y, Z) of syndrome-free residuals of a k=1 code.
+
+    x and z hold the residual bits, qubits on the last axis and any leading
+    shape.  A residual is Xbar^a Zbar^b times a stabilizer, so a is its
+    symplectic pairing with Zbar and b its pairing with Xbar.
+    """
+    lx, lz = code.logical_x[0], code.logical_z[0]
+    a = (x @ lz.z_bits + z @ lz.x_bits) % 2
+    b = (x @ lx.z_bits + z @ lx.x_bits) % 2
+    return _PAIRINGS_TO_CLASS[a, b]
 
 
 def _paulis_of_weight(n: int, w: int):
@@ -341,35 +348,19 @@ def _unit(n: int, j: int) -> np.ndarray:
 
 
 def _solve_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of A x = b over GF(2), or None."""
-    a = (np.array(a, dtype=np.uint8) & 1).copy()
-    b = (np.array(b, dtype=np.uint8) & 1).copy()
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for rr in range(r, rows):
-            if aug[rr, c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        aug[[r, pr]] = aug[[pr, r]]
-        for rr in range(rows):
-            if rr != r and aug[rr, c]:
-                aug[rr] ^= aug[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if aug[rr, -1]:
-            return None
+    """One solution x of A x = b over GF(2), or None.
+
+    Takes the RREF of [A|b]: the system is inconsistent when a pivot lands in
+    the b column.  Free variables are 0 and each pivot variable is its row's
+    b bit, so the solution is fixed by the RREF.
+    """
+    cols = np.shape(a)[1]
+    aug = np.column_stack([a, b]).astype(np.uint8) & 1
     x = np.zeros(cols, dtype=np.uint8)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, -1]
+    for row, _ in _rref(_pack_rows(aug), cols + 1)[0]:
+        if row == 1:
+            return None
+        x[cols + 1 - row.bit_length()] = row & 1
     return x
 
 
@@ -380,18 +371,10 @@ def _destabilizers(code: StabilizerCode) -> list[Pauli]:
     gens = code.stabilizer.generators
     found: list[Pauli] = []
     for i in range(len(gens)):
-        rows = []
-        rhs = []
-        for j, g in enumerate(gens):
-            rows.append(np.concatenate([g.z_bits, g.x_bits]))
-            rhs.append(1 if i == j else 0)
-        for lp in code.logical_x + code.logical_z:
-            rows.append(np.concatenate([lp.z_bits, lp.x_bits]))
-            rhs.append(0)
-        for d in found:
-            rows.append(np.concatenate([d.z_bits, d.x_bits]))
-            rhs.append(0)
-        sol = _solve_gf2(np.array(rows), np.array(rhs))
+        ops = gens + code.logical_x + code.logical_z + found
+        # [z|x] rows, so that row . [x_d|z_d] is the symplectic form with d
+        rows = np.roll(_symplectic_rows(ops, n), n, axis=1)
+        sol = _solve_gf2(rows, np.arange(len(ops)) == i)
         if sol is None:
             raise CodeError("destabilizer synthesis failed: inconsistent generators")
         d = Pauli(sol[:n], sol[n:]).hermitian_phase()
@@ -455,36 +438,28 @@ def synthesize_decoder(code: StabilizerCode) -> CliffordDecoder:
             for i in range(n - 1)
         ]
     )
-    image_x: list[Pauli] = []
-    image_z: list[Pauli] = []
-    basis_rows = np.array(
-        [np.concatenate([p.x_bits, p.z_bits]) for p in frame_in], dtype=np.uint8
-    )
-    for j in range(n):
-        for kind in ("x", "z"):
-            bits = np.zeros(2 * n, dtype=np.uint8)
-            if kind == "x":
-                bits[j] = 1
-            else:
-                bits[n + j] = 1
-            coeffs = _solve_gf2(basis_rows.T, bits)
-            if coeffs is None:
-                raise CodeError("frame does not span the Pauli group")
-            rebuilt = Pauli.identity(n)
-            image = Pauli.identity(n)
-            for c, pin, pout in zip(coeffs, frame_in, frame_out):
-                if c:
-                    rebuilt = multiply(rebuilt, pin)
-                    image = multiply(image, pout)
-            target = Pauli(bits[:n], bits[n:], 0)
-            delta = (target.phase_exp - rebuilt.phase_exp) % 4
-            image = Pauli(image.x_bits, image.z_bits, (image.phase_exp + delta) % 4)
-            if kind == "x":
-                image_x.append(image)
-            else:
-                image_z.append(image)
+    basis_cols = _symplectic_rows(frame_in, n).T
+    images: list[Pauli] = []
+    # the targets X_0..X_{n-1}, Z_0..Z_{n-1}, all with phase 0
+    for bits in np.eye(2 * n, dtype=np.uint8):
+        coeffs = _solve_gf2(basis_cols, bits)
+        if coeffs is None:
+            raise CodeError("frame does not span the Pauli group")
+        rebuilt = Pauli.identity(n)
+        image = Pauli.identity(n)
+        for c, pin, pout in zip(coeffs, frame_in, frame_out):
+            if c:
+                rebuilt = multiply(rebuilt, pin)
+                image = multiply(image, pout)
+        images.append(
+            Pauli(image.x_bits, image.z_bits, image.phase_exp - rebuilt.phase_exp)
+        )
     return CliffordDecoder(
-        n=n, image_x=image_x, image_z=image_z, frame_in=frame_in, frame_out=frame_out
+        n=n,
+        image_x=images[:n],
+        image_z=images[n:],
+        frame_in=frame_in,
+        frame_out=frame_out,
     )
 
 

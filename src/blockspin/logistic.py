@@ -38,11 +38,17 @@ class LogisticParams:
 
 
 def ode_solution(p: LogisticParams, n0: float, t: float) -> float:
-    """Closed-form logistic solution N(t) = K N0 e^{rt} / (K + N0(e^{rt}-1))."""
+    """Closed-form logistic solution N(t) = K N0 e^{rt} / (K + N0(e^{rt}-1)).
+
+    For t >= 0 it is evaluated as K N0 / (N0 + (K - N0) e^{-rt}), whose
+    exponential cannot overflow.
+    """
     if n0 < 0:
         raise DynamicsError("population must be nonnegative")
     if n0 == 0.0:
         return 0.0
+    if t >= 0:
+        return p.K * n0 / (n0 + (p.K - n0) * math.exp(-p.r * t))
     e = math.exp(p.r * t)
     return p.K * n0 * e / (p.K + n0 * (e - 1.0))
 

@@ -133,20 +133,11 @@ class Pauli:
         """Apply to a dense 2^n state vector without materializing the matrix."""
         n = self.n
         idx = np.arange(2**n, dtype=np.int64)
-        zmask = _bits_to_int(self.z_bits)
-        xmask = _bits_to_int(self.x_bits)
+        xmask, zmask = _pack_rows(np.array([self.x_bits, self.z_bits]))
         signs = (-1.0) ** _popcount(idx & zmask)
         out = np.empty_like(vec, dtype=complex)
         out[idx ^ xmask] = (1j**self.phase_exp) * signs * vec
         return out
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        if b:
-            out |= 1 << (len(bits) - 1 - i)
-    return out
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -208,43 +199,89 @@ class StabilizerGroup:
                     )
 
 
-def _symplectic_row(p: Pauli) -> np.ndarray:
-    return np.concatenate([p.x_bits, p.z_bits])
+def _symplectic_rows(paulis: Sequence[Pauli], n: int) -> np.ndarray:
+    """The [x|z] bit matrix of n-qubit Paulis: one row each, X columns first."""
+    rows = [np.concatenate([p.x_bits, p.z_bits]) for p in paulis]
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
+
+
+def _pack_rows(mat: np.ndarray) -> list[int]:
+    """Rows of a binary matrix as ints, column 0 at the most significant bit."""
+    packed = np.packbits(mat, axis=1)
+    pad = 8 * packed.shape[1] - mat.shape[1]
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+
+
+def _rref(
+    rows: list[int], ncols: int, phases: list[int] | None = None
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Reduced row echelon form over GF(2); the package's one elimination loop.
+
+    Rows are packed into ints with column j at bit ncols-1-j (see _pack_rows),
+    so a row's leading bit is its leftmost column; Pauli rows are
+    [x_0..x_{n-1} | z_0..z_{n-1}], X columns before Z columns.  Column by
+    column, the first remaining row holding the column is the pivot and is
+    added into every other row holding it, earlier pivot rows included.
+
+    With phases, row i is the Pauli i^phases[i] X^x Z^z (ncols = 2n) and
+    adding pivot p into row q is the product p*q, whose phase follows
+    `multiply`: phase(p) + phase(q) + 2 popcount(z_p & x_q) mod 4.
+
+    Returns (basis, rest) as (row, phase) pairs: basis holds the nonzero RREF
+    rows by increasing pivot column, rest the zero rows left over.  For a
+    fixed column order the RREF of a row space is unique, so the basis does
+    not depend on the generating set.  Each basis row is a group element,
+    and when the group holds no nontrivial multiple of I its phase is fixed
+    by its bits, so the phases are unique as well.
+    """
+    n = ncols // 2
+    zmask = (1 << n) - 1
+    rest = list(zip(rows, phases or [0] * len(rows)))
+    basis: list[tuple[int, int]] = []
+    while lead := max((r for r, _ in rest), default=0).bit_length():
+        bit = 1 << (lead - 1)
+        pivot, phase = rest.pop(next(i for i, (r, _) in enumerate(rest) if r & bit))
+        pivot_z = pivot & zmask
+
+        def add(row: int, e: int) -> tuple[int, int]:
+            if phases is not None:
+                e = (phase + e + 2 * (pivot_z & (row >> n)).bit_count()) % 4
+            return row ^ pivot, e
+
+        rest = [add(r, e) if r & bit else (r, e) for r, e in rest]
+        basis = [add(r, e) if r & bit else (r, e) for r, e in basis]
+        basis.append((pivot, phase))
+    return basis, rest
+
+
+def _canonical_rows(group: StabilizerGroup) -> list[tuple[int, int]]:
+    """The phased RREF of the generators; raises MinusIdentityError when a
+    leftover zero row carries a nonzero phase."""
+    rows = _pack_rows(_symplectic_rows(group.generators, group.n))
+    basis, rest = _rref(rows, 2 * group.n, [g.phase_exp for g in group.generators])
+    if any(e for _, e in rest):
+        raise MinusIdentityError("group contains a nontrivial multiple of identity")
+    return basis
 
 
 def canonicalize(group: StabilizerGroup) -> tuple[list[Pauli], int]:
-    """Row-reduce the generating set over GF(2) with exact phase bookkeeping.
+    """The reduced row echelon form of the generating set over GF(2), with
+    exact phases, and its rank.
 
-    Pivots scan the X block before the Z block, columns left to right, so the
-    output is deterministic.  Raises MinusIdentityError if the reduction finds
-    -1 in the group.
+    Each generator is packed into an int row [x|z], X columns before Z
+    columns, left to right, and the rows come back by increasing pivot
+    column.  The RREF of a row space is unique for this column order, and
+    so is the phase of each row when -1 is not in the group: the output
+    depends only on the group.  Raises MinusIdentityError if the reduction
+    finds a nontrivial multiple of the identity in the group.
     """
-    rows = list(group.generators)
-    reduced: list[Pauli] = []
-    pivots: list[int] = []
-    for col in range(2 * group.n):
-        pivot = None
-        for r in rows:
-            if _symplectic_row(r)[col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows = [
-            multiply(pivot, r) if _symplectic_row(r)[col] else r for r in rows
-        ]
-        reduced = [
-            multiply(pivot, g) if _symplectic_row(g)[col] else g for g in reduced
-        ]
-        reduced.append(pivot)
-        pivots.append(col)
-    for r in rows:
-        if r.weight == 0 and r.phase_exp != 0:
-            raise MinusIdentityError("group contains a nontrivial multiple of identity")
-    # Re-sort rows by pivot column for a canonical ordering.
-    order = np.argsort(pivots)
-    reduced = [reduced[i] for i in order]
+    n = 2 * group.n
+    nbytes = (n + 7) // 8
+    reduced = []
+    for row, phase in _canonical_rows(group):
+        raw = (row << (8 * nbytes - n)).to_bytes(nbytes, "big")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
+        reduced.append(Pauli(bits[: group.n], bits[group.n :], phase))
     return reduced, len(reduced)
 
 
@@ -255,17 +292,21 @@ def contains(group: StabilizerGroup, p: Pauli) -> tuple[str, int]:
     "member_up_to_phase", "not_member".  For a member-up-to-phase,
     i^phase_exp * (some group element) equals p.
     """
-    reduced, _ = canonicalize(group)
-    pivot_cols = [int(np.flatnonzero(_symplectic_row(g))[0]) for g in reduced]
-    r = p
-    for g, col in zip(reduced, pivot_cols):
-        if _symplectic_row(r)[col]:
-            r = multiply(inverse(g), r)
-    if r.weight != 0:
+    if p.n != group.n:
+        raise PauliError(f"length mismatch: {p.n} vs {group.n}")
+    n = group.n
+    zmask = (1 << n) - 1
+    r, e = _pack_rows(_symplectic_rows([p], n))[0], p.phase_exp
+    for g, ge in _canonical_rows(group):
+        if r >> (g.bit_length() - 1) & 1:
+            # r <- g^-1 r, where g^-1 = i^(-ge - 2 popcount(x_g & z_g)) g bits
+            inv = -ge - 2 * (g & zmask & (g >> n)).bit_count()
+            r, e = r ^ g, (inv + e + 2 * (g & zmask & (r >> n)).bit_count()) % 4
+    if r:
         return "not_member", 0
-    if r.phase_exp == 0:
+    if e == 0:
         return "member", 0
-    return "member_up_to_phase", r.phase_exp
+    return "member_up_to_phase", e
 
 
 def random_pauli(rng: np.random.Generator, n: int) -> Pauli:
@@ -284,7 +325,7 @@ def stabilizer_entropy(
     log2 |S_A| = rank(G) - rank(G restricted to the complement of A).
     """
     region = sorted(set(region))
-    mat = np.array([_symplectic_row(g) for g in generators], dtype=np.uint8)
+    mat = _symplectic_rows(generators, n)
     full_rank = gf2_rank(mat)
     if full_rank != n:
         raise ValueError(f"state is not pure: rank {full_rank} != {n}")
@@ -296,21 +337,14 @@ def stabilizer_entropy(
 
 
 def gf2_rank(mat: np.ndarray) -> int:
-    """Rank of a binary matrix over GF(2)."""
-    m = (np.array(mat, dtype=np.uint8) & 1).copy()
-    rank = 0
-    rows, cols = m.shape if m.ndim == 2 else (0, 0)
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+    """Rank of a binary matrix over GF(2).
+
+    Each row is packed into an int with column 0 at the most significant
+    bit, so for [x|z] Pauli rows the X columns come before the Z columns.
+    The rank is the number of nonzero rows of the RREF (_rref), which is
+    unique for a fixed column order.
+    """
+    m = np.asarray(mat, dtype=np.uint8) & 1
+    if m.ndim != 2:
+        return 0
+    return len(_rref(_pack_rows(m), m.shape[1])[0])

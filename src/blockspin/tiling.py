@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class TilingError(ValueError):
     """Raised for invalid extents, overlaps, gaps, or non-similar centers."""
@@ -20,27 +18,6 @@ class TilingError(ValueError):
 
 PLUS_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))  # center, N, E, S, W
 BRICK_OFFSETS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
-
-
-@dataclass
-class Lattice:
-    """Periodic integer lattice, d in {1, 2}, extent L per axis."""
-
-    dimension: int
-    extent: int
-
-    def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise TilingError("only d=1,2 supported")
-        if self.extent < 1:
-            raise TilingError("extent must be positive")
-
-    @property
-    def sites(self) -> list[tuple[int, ...]]:
-        L = self.extent
-        if self.dimension == 1:
-            return [(x,) for x in range(L)]
-        return [(x, y) for y in range(L) for x in range(L)]
 
 
 @dataclass

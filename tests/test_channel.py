@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from blockspin.channel import (
     sample_effective_channel,
     threshold,
 )
-from blockspin.codes import five_qubit_code
-from blockspin.pauli import Pauli
+from blockspin.codes import five_qubit_code, steane_code
+from blockspin.pauli import Pauli, random_pauli
 
 CODE = five_qubit_code()
 
@@ -199,6 +200,20 @@ class TestMemorySupport:
 
 
 class TestClassifyError:
+    def test_table_route_matches_logical_class(self):
+        """One level of classify_error (the action table) agrees with
+        recover + logical_class on every five-qubit error and on a seeded
+        sample of Steane errors."""
+        five = [Pauli.from_string("".join(s))
+                for s in itertools.product("IXYZ", repeat=5)]
+        steane = steane_code()
+        rng = np.random.default_rng(3)
+        sample = [random_pauli(rng, 7) for _ in range(400)]
+        for code, errors in ((CODE, five), (steane, sample)):
+            for e in errors:
+                _, records = classify_error(code, 1, e)
+                assert records[0].residual == [code.logical_class(code.recover(e))]
+
     def test_identity_error(self):
         verdict, records = classify_error(CODE, 2, Pauli.identity(25))
         assert verdict == "correctable"

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockspin.codes import (
     CodeError,
     StabilizerCode,
     TileHamiltonian,
+    _solve_gf2,
     build_recovery_table,
     check_correctable,
     encode_zero,
@@ -72,6 +74,18 @@ class TestFiveQubitCode:
         assert code.logical_class(Pauli.identity(5)) == "I"
         assert code.logical_class(Pauli.from_string("XXXXX")) == "X"
         assert code.logical_class(Pauli.from_string("ZZZZZ")) == "Z"
+
+    def test_logical_class_of_y_residual(self):
+        code = five_qubit_code()
+        y = multiply(Pauli.from_string("XXXXX"), Pauli.from_string("ZZZZZ"))
+        assert code.logical_class(y) == "Y"
+        m1 = Pauli.from_string(PERFECT_GENS[0])
+        assert code.logical_class(multiply(m1, y)) == "Y"
+
+    def test_logical_class_rejects_syndrome(self):
+        code = five_qubit_code()
+        with pytest.raises(CodeError, match="nonzero syndrome"):
+            code.logical_class(Pauli.from_string("XIIII"))
 
     def test_json_roundtrip(self):
         code = five_qubit_code()
@@ -281,3 +295,22 @@ class TestReducedEntropy:
                 assert reduced_state_entropy(
                     code, list(region)
                 ) == reduced_state_entropy(code, comp)
+
+
+class TestSolveGF2:
+    @given(st.integers(1, 6), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_against_brute_force(self, rows, cols, data):
+        bits = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+        a = np.array(data.draw(st.lists(bits, min_size=rows, max_size=rows)),
+                     dtype=np.uint8)
+        b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows,
+                                        max_size=rows)), dtype=np.uint8)
+        solvable = any(
+            np.array_equal(a @ np.array(x) % 2, b)
+            for x in itertools.product((0, 1), repeat=cols)
+        )
+        x = _solve_gf2(a, b)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert np.array_equal(a @ x % 2, b)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from blockspin.cli import main
 from blockspin.logistic import (
     CycleReport,
     DynamicsError,
@@ -63,6 +64,17 @@ class TestOdeSolution:
     def test_carrying_capacity_fixed(self):
         p = LogisticParams(r=0.7, K=3.0, dt=0.1)
         assert ode_solution(p, 3.0, 4.2) == pytest.approx(3.0)
+
+    def test_large_rt_reaches_capacity(self):
+        # r*t = 800: e^{rt} overflows a float, e^{-rt} underflows to 0
+        p = LogisticParams(r=1.0, K=1.0, dt=1.0)
+        assert ode_solution(p, 0.1, 800.0) == p.K
+
+    def test_long_orbit_cli_exits_zero(self, tmp_path):
+        out = tmp_path / "orbit.csv"
+        argv = ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--steps", "800"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "800,1,1"
 
     def test_monotone(self):
         p = LogisticParams(r=1.3, K=2.0, dt=0.1)

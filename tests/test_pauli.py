@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blockspin.pauli import (
     MinusIdentityError,
@@ -155,6 +157,91 @@ class TestContains:
         g2 = StabilizerGroup(5, reduced)
         m2m4 = multiply(Pauli.from_string("XZZXI"), Pauli.from_string("XIXZZ"))
         assert contains(g2, m2m4) == ("member", 0)
+
+
+@st.composite
+def commuting_groups(draw):
+    """Commuting Hermitian generators on n <= 4 qubits with random signs.
+
+    Some generators are products of earlier ones, so the generating sets are
+    often dependent and a sign flip can put -I into the group.
+    """
+    n = draw(st.integers(1, 4))
+    gens: list[Pauli] = []
+    for _ in range(draw(st.integers(1, 5))):
+        if gens and draw(st.booleans()):
+            p = Pauli.identity(n)
+            factors = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+            for g in factors:
+                p = multiply(p, g)
+        else:
+            p = draw(paulis(n=n)).hermitian_phase()
+            if not all(commutes(p, g) for g in gens):
+                continue
+        sign = draw(st.sampled_from([0, 2]))
+        gens.append(Pauli(p.x_bits, p.z_bits, p.phase_exp + sign))
+    return StabilizerGroup(n, gens)
+
+
+def enumerate_group(group: StabilizerGroup) -> set[Pauli]:
+    """Every product of the generators, exact phases, by closure."""
+    elements = {Pauli.identity(group.n)}
+    frontier = elements
+    while frontier:
+        products = {multiply(a, g) for a in frontier for g in group.generators}
+        frontier = products - elements
+        elements |= frontier
+    return elements
+
+
+def has_minus_identity(elements: set[Pauli]) -> bool:
+    return any(e.weight == 0 and e.phase_exp != 0 for e in elements)
+
+
+class TestKernelOracles:
+    """canonicalize, contains and gf2_rank against brute-force enumeration."""
+
+    @given(commuting_groups())
+    @settings(max_examples=150, deadline=None)
+    def test_canonicalize_spans_the_group(self, group):
+        elements = enumerate_group(group)
+        if has_minus_identity(elements):
+            with pytest.raises(MinusIdentityError):
+                canonicalize(group)
+            return
+        reduced, rank = canonicalize(group)
+        assert rank == len(reduced)
+        assert set(reduced) <= elements
+        assert enumerate_group(StabilizerGroup(group.n, reduced)) == elements
+        assert len(elements) == 2**rank
+
+    @given(commuting_groups(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_contains_matches_lookup(self, group, data):
+        elements = enumerate_group(group)
+        assume(not has_minus_identity(elements))
+
+        def lookup(q: Pauli) -> tuple[str, int]:
+            for k in range(4):
+                if Pauli(q.x_bits, q.z_bits, q.phase_exp - k) in elements:
+                    return ("member", 0) if k == 0 else ("member_up_to_phase", k)
+            return ("not_member", 0)
+
+        queries = [Pauli(e.x_bits, e.z_bits, e.phase_exp + k)
+                   for e in elements for k in range(4)]
+        queries += data.draw(st.lists(paulis(n=group.n), max_size=8))
+        for q in queries:
+            assert contains(group, q) == lookup(q)
+
+    @given(st.integers(0, 6), st.integers(0, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_is_log_of_span_size(self, rows, cols, data):
+        bits = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+        mat = np.array(data.draw(st.lists(bits, min_size=rows, max_size=rows)),
+                       dtype=np.uint8).reshape(rows, cols)
+        span = {tuple(np.array(c, dtype=np.uint8) @ mat % 2)
+                for c in itertools.product((0, 1), repeat=rows)}
+        assert 2 ** gf2_rank(mat) == len(span)
 
 
 class TestTextForm:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockspin.tiling import (
-    Lattice,
     Tiling,
     TilingError,
     brick_tiling,
@@ -17,16 +16,6 @@ from blockspin.tiling import (
 
 SQRT5 = math.sqrt(5.0)
 ROT = math.atan2(1.0, 2.0)  # arctan(1/2)
-
-
-class TestLattice:
-    def test_site_count(self):
-        assert len(Lattice(2, 5).sites) == 25
-        assert len(Lattice(1, 7).sites) == 7
-
-    def test_bad_dimension(self):
-        with pytest.raises(TilingError):
-            Lattice(3, 5)
 
 
 class TestPlusTiling:
