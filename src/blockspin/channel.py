@@ -1,11 +1,13 @@
 """Renormalization as an exact Pauli channel recursion.
 
 One cycle encode -> i.i.d. Pauli noise -> syndrome recovery -> decode acts on
-the logical qubit as a Pauli channel.  Iterating the map gives the flow on
-channel space; its attractors (identity vs uniform noise) define a {0,1}
-order parameter, the unstable fixed point in between is the memory threshold,
-and the hashing-bound quality along the flow yields the memory-support
-correlation functional.
+the logical qubit as a Pauli channel.  This level map is the code's logical
+weight enumerator, a polynomial in (p_I, p_X, p_Y, p_Z) with integer
+coefficients, so the map and its Jacobian are both exact.  Iterating the map
+gives the flow on channel space; its attractors (identity vs uniform noise)
+define a {0,1} order parameter, the unstable fixed point in between is the
+memory threshold, and the hashing-bound quality along the flow yields the
+memory-support correlation functional.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .codes import StabilizerCode, _logical_class_index
 from .pauli import Pauli
 
 _LOGICAL_NAMES = ("I", "X", "Y", "Z")
+PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
+NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
 
 
 class ChannelError(ValueError):
@@ -40,9 +44,9 @@ class PauliChannel:
 
     def __post_init__(self):
         probs = self.as_array()
-        if np.any(probs < -1e-12):
+        if np.any(probs < -PROBABILITY_SLACK):
             raise ChannelError(f"negative probability in {probs}")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if abs(probs.sum() - 1.0) > PROBABILITY_SLACK:
             raise ChannelError(f"probabilities sum to {probs.sum()}, not 1")
 
     def as_array(self) -> np.ndarray:
@@ -83,15 +87,18 @@ class PauliChannel:
 
 @dataclass
 class LogicalActionTable:
-    """Precomputed logical class of every n-qubit Pauli error for one code.
+    """Logical action of lookup recovery for one code.
 
-    comps[e] holds the base-4 digits of error index e (0=I,1=X,2=Y,3=Z per
-    qubit); cls[e] is the logical residual class after lookup recovery.
+    cls[e] is the residual logical class of error index e (base-4 digits
+    0=I,1=X,2=Y,3=Z, first qubit most significant).  coeff[c, m] counts the
+    errors of type composition exps[m] = (#I, #X, #Y, #Z) left in class c:
+    the code's logical weight enumerator.
     """
 
     code: StabilizerCode
-    comps: np.ndarray
     cls: np.ndarray
+    coeff: np.ndarray
+    exps: np.ndarray
 
     @classmethod
     def build(cls, code: StabilizerCode) -> "LogicalActionTable":
@@ -106,14 +113,12 @@ class LogicalActionTable:
         for q in range(n):
             comps[:, n - 1 - q] = (idx // 4**q) % 4
         # X/Z bit content per single-qubit component 0..3 = I,X,Y,Z.
-        comp_x = np.array([0, 1, 1, 0], dtype=np.uint8)
-        comp_z = np.array([0, 0, 1, 1], dtype=np.uint8)
-        xs = comp_x[comps]
-        zs = comp_z[comps]
+        xs = np.array([0, 1, 1, 0], dtype=np.uint8)[comps]
+        zs = np.array([0, 0, 1, 1], dtype=np.uint8)[comps]
         gens = code.stabilizer.generators
-        syn = np.zeros((n_err, len(gens)), dtype=np.uint8)
-        for j, g in enumerate(gens):
-            syn[:, j] = (xs @ g.z_bits + zs @ g.x_bits) % 2
+        syn_idx = np.zeros(n_err, dtype=np.int64)  # first generator high
+        for g in gens:
+            syn_idx = 2 * syn_idx + (xs @ g.z_bits + zs @ g.x_bits) % 2
         n_syn = 2 ** len(gens)
         pow2 = 2 ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
         rec_x_by_syn = np.full((n_syn, n), 255, dtype=np.uint8)
@@ -124,12 +129,19 @@ class LogicalActionTable:
             rec_z_by_syn[si] = p.z_bits
         if np.any(rec_x_by_syn == 255):
             raise ChannelError("incomplete recovery table")
-        syn_idx = syn.astype(np.int64) @ pow2
         # the recovered residuals are syndrome-free
         classes = _logical_class_index(
             code, xs ^ rec_x_by_syn[syn_idx], zs ^ rec_z_by_syn[syn_idx]
         )
-        return cls(code=code, comps=comps, cls=classes)
+        # tally errors by class and composition, keyed (#X, #Y, #Z) in base b
+        b = n + 1
+        key = np.array([0, b * b, b, 1], dtype=np.int16)[comps].sum(axis=1)
+        flat = classes.astype(np.int64) * b**3 + key
+        counts = np.bincount(flat, minlength=4 * b**3).reshape(4, -1)
+        keys = np.flatnonzero(counts.sum(axis=0))  # the C(n+3, 3) compositions
+        xyz = np.column_stack([keys // (b * b), keys // b % b, keys % b])
+        exps = np.column_stack([n - xyz.sum(axis=1), xyz])
+        return cls(code=code, cls=classes, coeff=counts[:, keys], exps=exps)
 
 
 _table_cache: dict[int, LogicalActionTable] = {}
@@ -145,13 +157,11 @@ def _action_table(code: StabilizerCode) -> LogicalActionTable:
 def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:
     """Exact logical channel of one noise + lookup-recovery cycle.
 
-    Enumerates all 4^n i.i.d. Pauli errors, classifies the post-recovery
-    residual, and accumulates the probabilities.
+    Evaluates the code's logical weight enumerator at the channel: the
+    probability of all 4^n i.i.d. Pauli errors, summed per residual class.
     """
     table = _action_table(code)
-    p = ch.as_array()
-    weights = p[table.comps].prod(axis=1)
-    out = np.bincount(table.cls, weights=weights, minlength=4)
+    out = table.coeff @ np.prod(ch.as_array() ** table.exps, axis=1)
     return PauliChannel.from_array(out / out.sum())
 
 
@@ -201,7 +211,7 @@ def flow(
         if nxt.error_probability() < tol:
             return FlowTrajectory(levels, "converged-to-identity")
         stalled = abs(nxt.quality() - current.quality()) < tol
-        if stalled and nxt.quality() < 1.0 - 1e-6:
+        if stalled and nxt.quality() < 1.0 - NOISE_QUALITY_MARGIN:
             return FlowTrajectory(levels, "converged-to-noise")
         current = nxt
     return FlowTrajectory(levels, "max-iterations")
@@ -256,34 +266,21 @@ def threshold(
 
 
 def linearize(
-    code: StabilizerCode, fixed_channel: PauliChannel, delta: float = 1e-6
+    code: StabilizerCode, fixed_channel: PauliChannel
 ) -> list[tuple[complex, str]]:
     """Eigenvalues of the recursion Jacobian at a channel, tagged
     relevant (|l| > 1) or irrelevant (|l| < 1).
 
-    Coordinates are (p_X, p_Y, p_Z) on the simplex tangent space; central
-    finite differences with step delta.
+    Coordinates are (p_X, p_Y, p_Z) on the simplex tangent space.  The
+    Jacobian J[i, j] = dF_i/dp_j - dF_i/dp_I of the unnormalized map F is
+    exact, differentiated term by term in the weight enumerator.
     """
-    if delta <= 0 or delta < 1e-14:
-        raise ChannelError("finite-difference step underflow")
-    base = fixed_channel.as_array()
-
-    def apply(vec3):
-        arr = np.empty(4)
-        arr[1:] = vec3
-        arr[0] = 1.0 - vec3.sum()
-        # polynomial map; evaluated off-simplex during differencing
-        table = _action_table(code)
-        weights = arr[table.comps].prod(axis=1)
-        out = np.bincount(table.cls, weights=weights, minlength=4)
-        return out[1:]
-
-    x0 = base[1:]
-    jac = np.zeros((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = delta
-        jac[:, j] = (apply(x0 + e) - apply(x0 - e)) / (2 * delta)
+    table = _action_table(code)
+    # d/dp_j prod(p ** e) = e_j * prod(p ** (e - unit_j)); e_j = 0 gives 0
+    lowered = np.maximum(table.exps - np.eye(4, dtype=int)[:, None], 0)
+    grads = table.exps.T * np.prod(fixed_channel.as_array() ** lowered, axis=-1)
+    jac4 = table.coeff @ grads.T  # [class, variable]
+    jac = jac4[1:, 1:] - jac4[1:, :1]
     evals = np.linalg.eigvals(jac)
     return [
         (complex(ev), "relevant" if abs(ev) > 1.0 else "irrelevant")

@@ -1,7 +1,8 @@
 """Command-line entry point: one subcommand per subsystem, file-based output.
 
 Every artifact embeds a metadata block (tool version, full config, seed) and
-identical invocations produce byte-identical files.  Exit codes: 0 success,
+identical invocations produce byte-identical files.  Stdout carries only
+artifacts; status lines and errors go to stderr.  Exit codes: 0 success,
 1 usage error, 2 domain error.
 """
 
@@ -114,6 +115,10 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _status(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def _json_doc(args, payload: dict, seed: int | None = None) -> str:
     return (
         json.dumps({"meta": _meta(args, seed), **payload}, indent=2, sort_keys=True)
@@ -155,7 +160,7 @@ def cmd_code(args) -> int:
     code = _get_code(args.code, args.L)
     doc = json.loads(code.to_json())
     _write(args.out, _json_doc(args, {"code": doc}))
-    print(f"code {args.code}: n={code.n} k={code.k}")
+    _status(f"code {args.code}: n={code.n} k={code.k}")
     return 0
 
 
@@ -172,7 +177,7 @@ def cmd_decode(args) -> int:
         "logical_class": cls,
     }
     _write(args.out, _json_doc(args, payload))
-    print(f"syndrome={''.join(map(str, syndrome))} logical={cls}")
+    _status(f"syndrome={''.join(map(str, syndrome))} logical={cls}")
     return 0
 
 
@@ -188,7 +193,7 @@ def cmd_channel_flow(args) -> int:
         )
     lines.append(f"# verdict={traj.verdict}")
     _write(args.out, "\n".join(lines) + "\n")
-    print(f"flow verdict: {traj.verdict} after {len(traj.levels) - 1} levels")
+    _status(f"flow verdict: {traj.verdict} after {len(traj.levels) - 1} levels")
     return 0
 
 
@@ -208,7 +213,7 @@ def cmd_threshold(args) -> int:
         "p_star": p_star,
     }
     _write(args.out, _json_doc(args, payload))
-    print(f"threshold p* = {p_star:.6f}")
+    _status(f"threshold p* = {p_star:.6f}")
     return 0
 
 
@@ -225,7 +230,7 @@ def cmd_memory_support(args) -> int:
         "verdict": ms.verdict,
     }
     _write(args.out, _json_doc(args, payload))
-    print(f"memory support: {payload['size']} (r*={ms.r_star})")
+    _status(f"memory support: {payload['size']} (r*={ms.r_star})")
     return 0
 
 
@@ -241,7 +246,7 @@ def cmd_classify(args) -> int:
         ],
     }
     _write(args.out, _json_doc(args, payload))
-    print(f"classification: {verdict}")
+    _status(f"classification: {verdict}")
     return 0
 
 
@@ -264,7 +269,7 @@ def cmd_tiling(args) -> int:
         "rotation": rotation,
     }
     _write(args.out, _json_doc(args, payload))
-    print(
+    _status(
         f"tiling {t.name}: {t.tile_count} tiles, rescale={rescale:.6f}, "
         f"rotation={rotation:+.6f}"
     )
@@ -289,7 +294,7 @@ def cmd_toric(args) -> int:
     _write(args.out, "\n".join(lines) + "\n")
     if args.svg:
         _write(args.svg, generator_support_svg(state))
-    print(
+    _status(
         f"toric L={args.L}: n_T={scan.characteristic_cardinality}, "
         f"big generator weights {big_site.weight}/{big_plaq.weight}"
     )
@@ -319,7 +324,7 @@ def cmd_dfs(args) -> int:
         ],
     }
     _write(args.out, _json_doc(args, payload, seed=args.seed))
-    print(
+    _status(
         f"dfs: blocks {[(b.irrep_dim, b.multiplicity) for b in dec.blocks]}, "
         f"{len(noiseless)} noiseless"
     )
@@ -337,7 +342,7 @@ def cmd_logistic(args) -> int:
             for v in tail:
                 lines.append(f"{mu:.17g},{v:.17g}")
         _write(args.out, "\n".join(lines) + "\n")
-        print(f"bifurcation scan over {len(rows)} mu values")
+        _status(f"bifurcation scan over {len(rows)} mu values")
         return 0
     orbit = map_orbit(params.mu, params.kappa, args.N0, args.steps)
     report = detect_cycle(orbit) if args.steps >= 1300 else None
@@ -348,7 +353,7 @@ def cmd_logistic(args) -> int:
     if report:
         lines.append(f"# cycle={report.kind}")
     _write(args.out, "\n".join(lines) + "\n")
-    print(
+    _status(
         f"logistic: mu={params.mu:.6f} kappa={params.kappa:.6f}"
         + (f" cycle={report.kind}" if report else "")
     )

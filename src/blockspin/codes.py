@@ -158,19 +158,16 @@ def _paulis_of_weight(n: int, w: int):
             yield Pauli.from_string("".join(chars))
 
 
-def build_recovery_table(
-    code: StabilizerCode, max_weight: int | None = None
-) -> dict[tuple[int, ...], Pauli]:
+def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
     """Minimum-weight coset-leader table, ties broken lexicographically.
 
     Enumerates Paulis by increasing weight (text order within a weight) and
-    keeps the first representative seen for each syndrome.
+    keeps the first representative seen for each syndrome, stopping once
+    every syndrome has one.
     """
     n_syn = 2 ** (code.n - code.k)
-    if max_weight is None:
-        max_weight = code.n
     table: dict[tuple[int, ...], Pauli] = {}
-    for w in range(max_weight + 1):
+    for w in range(code.n + 1):
         for p in _paulis_of_weight(code.n, w):
             s = code.syndrome(p)
             if s not in table:
@@ -190,7 +187,7 @@ def five_qubit_code() -> StabilizerCode:
         logical_x=[Pauli.from_string("XXXXX")],
         logical_z=[Pauli.from_string("ZZZZZ")],
     )
-    code.recovery_table = build_recovery_table(code, max_weight=1)
+    code.recovery_table = build_recovery_table(code)
     return code
 
 
@@ -222,7 +219,7 @@ def steane_code() -> StabilizerCode:
         logical_x=[Pauli.from_string("XXXXXXX")],
         logical_z=[Pauli.from_string("ZZZZZZZ")],
     )
-    code.recovery_table = build_recovery_table(code, max_weight=2)
+    code.recovery_table = build_recovery_table(code)
     return code
 
 
@@ -245,7 +242,7 @@ def shor_code() -> StabilizerCode:
         logical_x=[Pauli.from_string("XXXXXXXXX")],
         logical_z=[Pauli.from_string("ZZZZZZZZZ")],
     )
-    code.recovery_table = build_recovery_table(code, max_weight=2)
+    code.recovery_table = build_recovery_table(code)
     return code
 
 

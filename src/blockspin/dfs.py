@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIM_CAP = 64
+DIM_CAP = 32  # n = 6 (dim 64) spends minutes in closure, then merges blocks
 CLOSURE_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 CLUSTER_AMBIGUOUS = 1e-6

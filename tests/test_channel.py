@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blockspin.channel import (
     ChannelError,
     IndeterminateFlowError,
+    LogicalActionTable,
     PauliChannel,
     classify_error,
     effective_channel,
@@ -18,14 +20,35 @@ from blockspin.channel import (
     sample_effective_channel,
     threshold,
 )
-from blockspin.codes import five_qubit_code, steane_code
+from blockspin.codes import five_qubit_code, shor_code, steane_code
 from blockspin.pauli import Pauli, random_pauli
 
 CODE = five_qubit_code()
 
 # regression values frozen from the exact recursion on first computation
 DEPOLARIZING_THRESHOLD = 0.137724609375
+SHOR_DEPOLARIZING_THRESHOLD = 0.077119140625
 THRESHOLD_WIDTH = 1e-3
+
+BUILDERS = {"five-qubit": five_qubit_code, "steane": steane_code, "shor": shor_code}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_setup(name):
+    """A code, its action table and the base-4 digits of every error index."""
+    code = BUILDERS[name]()
+    n = code.n
+    digits = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+    return code, LogicalActionTable.build(code), digits
+
+
+def _brute_force_map(name, p):
+    """Unnormalized level map: the probability prod_q p[e_q] of each of the
+    4^n errors e, summed per residual logical class (p may be off-simplex).
+    fsum keeps the oracle's own rounding far below the tolerances used."""
+    _, table, digits = _oracle_setup(name)
+    weights = p[digits].prod(axis=1)
+    return np.array([math.fsum(weights[table.cls == c]) for c in range(4)])
 
 
 @st.composite
@@ -97,6 +120,65 @@ class TestEffectiveChannel:
         assert np.all(np.abs(mc - exact) <= 4 * sigma + 1e-12)
 
 
+class TestWeightEnumerator:
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_class_sums_are_multinomials(self, name):
+        code, table, _ = _oracle_setup(name)
+        n = code.n
+        assert len(table.exps) == math.comb(n + 3, 3)
+        assert np.all(table.exps.sum(axis=1) == n)
+        for row, total in zip(table.exps, table.coeff.sum(axis=0)):
+            assert total == math.factorial(n) // math.prod(map(math.factorial, row))
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @given(ch=channels())
+    @settings(max_examples=15, deadline=None)
+    def test_polynomial_matches_brute_force(self, name, ch):
+        code, table, _ = _oracle_setup(name)
+        p = ch.as_array()
+        oracle = _brute_force_map(name, p)
+        poly = table.coeff @ np.prod(p**table.exps, axis=1)
+        np.testing.assert_allclose(poly, oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            effective_channel(code, ch).as_array(),
+            oracle / oracle.sum(),
+            rtol=0,
+            atol=1e-13,
+        )
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            ("five-qubit", {1: [15, 0, 0, 0], 2: [0, 30, 30, 30]}),
+            ("steane", {1: [21, 0, 0, 0], 2: [42, 49, 49, 49]}),
+        ],
+    )
+    def test_class_counts_by_weight(self, name, counts):
+        code, table, _ = _oracle_setup(name)
+        weight = code.n - table.exps[:, 0]
+        for w, expected in counts.items():
+            assert table.coeff[:, weight == w].sum(axis=1).tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_linearize_matches_central_differences(self, name):
+        code, _, _ = _oracle_setup(name)
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        for _ in range(3):
+            p = rng.dirichlet(np.ones(4))
+            jac = np.zeros((3, 3))
+            for j in range(1, 4):
+                step = np.zeros(4)
+                step[j], step[0] = h, -h
+                up = _brute_force_map(name, p + step)
+                down = _brute_force_map(name, p - step)
+                jac[:, j - 1] = (up - down)[1:] / (2 * h)
+            fd = sorted(np.linalg.eigvals(jac), key=lambda v: -abs(v))
+            exact = [ev for ev, _ in linearize(code, PauliChannel.from_array(p))]
+            # atol: central differences round to about eps / h = 1e-10
+            np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-9)
+
+
 class TestFlow:
     def test_identity_input(self):
         traj = flow(CODE, PauliChannel.identity())
@@ -140,6 +222,11 @@ class TestOrderParameterAndThreshold:
         p_dep = threshold(CODE, PauliChannel.depolarizing, 0.01, 0.3)
         p_bf = threshold(CODE, PauliChannel.bit_flip, 0.01, 0.45)
         assert abs(p_bf - p_dep) > THRESHOLD_WIDTH
+
+    def test_shor_depolarizing_threshold(self):
+        code, _, _ = _oracle_setup("shor")
+        p = threshold(code, PauliChannel.depolarizing, 0.01, 0.3, width=THRESHOLD_WIDTH)
+        assert p == pytest.approx(SHOR_DEPOLARIZING_THRESHOLD, abs=1e-12)
 
     def test_invalid_bracket(self):
         with pytest.raises(ChannelError):

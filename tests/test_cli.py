@@ -25,7 +25,29 @@ class TestExitCodes:
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "code.json"
         assert run(["code", "--code", "five-qubit", "--out", str(out)]) == 0
-        assert "n=5" in capsys.readouterr().out
+        assert "n=5" in capsys.readouterr().err
+
+    def test_stdout_is_the_artifact(self, capsys):
+        assert run(["code", "--code", "five-qubit", "--out", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["code"]["n"] == 5
+
+    def test_dfs_above_dimension_cap_refused(self):
+        assert run(["dfs", "--qubits", "6"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["channel-flow", "--depolarizing", "0.05"],
+            ["threshold", "--lo", "0.01", "--hi", "0.3"],
+            ["memory-support", "--depolarizing", "0.2", "--epsilon", "0.5"],
+            ["classify", "--levels", "1", "--error", "XIIIIIIII"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_shor_channel_subcommands(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run([*argv, "--code", "shor", "--out", str(out)]) == 0
 
 
 class TestArtifacts:

@@ -210,6 +210,16 @@ class TestOtherCodes:
         ok, _ = check_correctable(code, errors)
         assert ok
 
+    @pytest.mark.parametrize(
+        "builder, max_weight", [(steane_code, 2), (shor_code, 3)]
+    )
+    def test_complete_min_weight_recovery_table(self, builder, max_weight):
+        code = builder()
+        assert len(code.recovery_table) == 2 ** (code.n - code.k)
+        for syn, rec in code.recovery_table.items():
+            assert code.syndrome(rec) == syn
+        assert max(rec.weight for rec in code.recovery_table.values()) == max_weight
+
 
 class TestToric:
     def test_l3_rank_and_k(self):
