@@ -243,9 +243,13 @@ def threshold(
 
     family: p -> PauliChannel.  Requires order 1 at p_lo and 0 at p_hi.
     Returns the bracket midpoint once the bracket is narrower than width.
+    Raises ChannelError unless width > 0, and when the bracket can no longer
+    be halved in floating point before reaching the width.
     """
     if not p_lo < p_hi:
         raise ChannelError(f"invalid bracket ({p_lo}, {p_hi})")
+    if not width > 0:
+        raise ChannelError(f"width must be > 0, got {width}")
     if order_parameter(code, family(p_lo), max_levels) != 1:
         raise ChannelError(f"order parameter at p_lo={p_lo} is not 1")
     if order_parameter(code, family(p_hi), max_levels) != 0:
@@ -253,6 +257,11 @@ def threshold(
     lo, hi = p_lo, p_hi
     while hi - lo >= width:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ChannelError(
+                f"width {width} is below the float resolution of the bracket "
+                f"({lo}, {hi})"
+            )
         try:
             if order_parameter(code, family(mid), max_levels) == 1:
                 lo = mid

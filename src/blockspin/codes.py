@@ -147,15 +147,13 @@ def _logical_class_index(code: StabilizerCode, x: np.ndarray, z: np.ndarray):
     return _PAIRINGS_TO_CLASS[a, b]
 
 
-def _paulis_of_weight(n: int, w: int):
-    """All weight-w n-qubit Paulis in lexicographic text order."""
-    letters = ("X", "Y", "Z")
-    for positions in itertools.combinations(range(n), w):
-        for combo in itertools.product(letters, repeat=w):
-            chars = ["I"] * n
-            for pos, c in zip(positions, combo):
-                chars[pos] = c
-            yield Pauli.from_string("".join(chars))
+def _supports_by_weight(n: int):
+    """(positions, letters) of every n-qubit Pauli without phase, by
+    increasing weight and in text order within a weight."""
+    for w in range(n + 1):
+        for positions in itertools.combinations(range(n), w):
+            for letters in itertools.product("XYZ", repeat=w):
+                yield positions, letters
 
 
 def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
@@ -163,18 +161,39 @@ def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
 
     Enumerates Paulis by increasing weight (text order within a weight) and
     keeps the first representative seen for each syndrome, stopping once
-    every syndrome has one.
+    every syndrome has one.  A candidate's syndrome, packed into an int with
+    generator i at bit i, is the XOR of the syndromes of its single-qubit
+    letters; a Pauli is built only for the entries kept.
     """
+    gens = code.stabilizer.generators
     n_syn = 2 ** (code.n - code.k)
-    table: dict[tuple[int, ...], Pauli] = {}
-    for w in range(code.n + 1):
-        for p in _paulis_of_weight(code.n, w):
-            s = code.syndrome(p)
-            if s not in table:
-                table[s] = p
-                if len(table) == n_syn:
-                    return table
-    return table
+    # flips[q][c]: packed syndrome of the letter c on qubit q alone
+    flips = [
+        {
+            c: sum(
+                ((x & int(g.z_bits[q])) ^ (z & int(g.x_bits[q]))) << i
+                for i, g in enumerate(gens)
+            )
+            for c, (x, z) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1)))
+        }
+        for q in range(code.n)
+    ]
+    leaders: dict[int, str] = {}
+    for positions, letters in _supports_by_weight(code.n):
+        s = 0
+        for q, c in zip(positions, letters):
+            s ^= flips[q][c]
+        if s not in leaders:
+            chars = ["I"] * code.n
+            for q, c in zip(positions, letters):
+                chars[q] = c
+            leaders[s] = "".join(chars)
+            if len(leaders) == n_syn:
+                break
+    return {
+        tuple((s >> i) & 1 for i in range(len(gens))): Pauli.from_string(text)
+        for s, text in leaders.items()
+    }
 
 
 def five_qubit_code() -> StabilizerCode:

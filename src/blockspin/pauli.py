@@ -324,16 +324,40 @@ def stabilizer_entropy(
     S(A) = |A| - log2 |S_A| with S_A the subgroup supported inside A;
     log2 |S_A| = rank(G) - rank(G restricted to the complement of A).
     """
-    region = sorted(set(region))
+    return _region_entropies(n, generators, [region])[0]
+
+
+def _region_entropies(
+    n: int, generators: Sequence[Pauli], regions: Iterable[Iterable[int]]
+) -> list[int]:
+    """stabilizer_entropy of each region, with one purity check for all.
+
+    For a pure state S(A) = |A| - n + rank(G|_complement) = rank(G|_A) - |A|
+    (Fattal et al., quant-ph/0406168), and S(A) = S(complement), so each
+    region is restricted to the smaller of A and its complement.  On a
+    single qubit q, rank(G|_q) is the number of distinct nonzero (x_q, z_q)
+    pairs among the rows, capped at 2, which needs no elimination.
+    """
     mat = _symplectic_rows(generators, n)
     full_rank = gf2_rank(mat)
     if full_rank != n:
         raise ValueError(f"state is not pure: rank {full_rank} != {n}")
-    comp = [q for q in range(n) if q not in region]
-    cols = [q for q in comp] + [n + q for q in comp]
-    sub_rank = gf2_rank(mat[:, cols]) if cols else 0
-    # |S_A| = 2^(full_rank - sub_rank): kernel of the restriction to A-complement.
-    return len(region) - (full_rank - sub_rank)
+    out = []
+    for region in regions:
+        side = sorted(set(region))
+        if side and not (0 <= side[0] and side[-1] < n):
+            raise ValueError(f"region qubits must lie in 0..{n - 1}")
+        if 2 * len(side) > n:
+            inside = set(side)
+            side = [q for q in range(n) if q not in inside]
+        if len(side) == 1:
+            pairs = set((2 * mat[:, side[0]] + mat[:, n + side[0]]).tolist())
+            rank = min(len(pairs - {0}), 2)
+        else:
+            cols = side + [n + q for q in side]
+            rank = gf2_rank(mat[:, cols]) if cols else 0
+        out.append(rank - len(side))
+    return out
 
 
 def gf2_rank(mat: np.ndarray) -> int:

@@ -70,9 +70,15 @@ def _build_assignment(
     return assignment
 
 
+def _check_extent(L: int) -> None:
+    if L < 1:
+        raise TilingError(f"extent L must be >= 1, got {L}")
+
+
 def plus_tiling(L: int, handedness: int = +1) -> Tiling:
     """Plus-pentomino exact cover; centers 2x+y=0 (mod 5) for right-handed,
     x+2y=0 for left-handed.  Rescale sqrt(5), rotation +-arctan(1/2)."""
+    _check_extent(L)
     if L % 5 != 0:
         raise TilingError("plus tiling needs L = 0 mod 5")
     if handedness not in (+1, -1):
@@ -99,6 +105,7 @@ def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
     row_offset 2 reproduces the right-handed plus center sublattice;
     row_offset 3 gives the mirror.
     """
+    _check_extent(L)
     if L % 5 != 0:
         raise TilingError("brick tiling needs L = 0 mod 5")
     if row_offset not in (2, 3):
@@ -121,6 +128,7 @@ def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
 
 def trivial_tiling(L: int) -> Tiling:
     """1x1 tiles; rescale 1, rotation 0."""
+    _check_extent(L)
     centers = [(x, y) for y in range(L) for x in range(L)]
     return Tiling(
         L=L,
@@ -146,19 +154,18 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     rotation is the representative in (-pi/4, pi/4].
     """
     L = t.L
-    seen: set[tuple[int, int]] = set()
+    expected: dict[tuple[int, int], tuple[int, int]] = {}
     for tid, (cx, cy) in enumerate(t.centers):
-        for dx, dy in t.tile_shape:
+        for pos, (dx, dy) in enumerate(t.tile_shape, start=1):
             site = ((cx + dx) % L, (cy + dy) % L)
-            if site in seen:
+            if site in expected:
                 raise TilingError(f"overlap at site {site}")
-            seen.add(site)
-    if len(seen) != L * L:
+            expected[site] = (tid, pos)
+    if len(expected) != L * L:
         missing = next(
-            (x, y) for y in range(L) for x in range(L) if (x, y) not in seen
+            (x, y) for y in range(L) for x in range(L) if (x, y) not in expected
         )
         raise TilingError(f"gap at site {missing}")
-    expected = _build_assignment(L, t.tile_shape, t.centers)
     if t.assignment != expected:
         bad = next(s for s in expected if t.assignment.get(s) != expected[s])
         raise TilingError(f"assignment does not cover site {bad} consistently")
@@ -180,8 +187,7 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     candidates = [v for v in reps if v[0] ** 2 + v[1] ** 2 == min_norm]
     best = None
     for a, b in candidates:
-        generated = _similar_sublattice(a, b, L)
-        if generated == center_set:
+        if _is_similar_sublattice(center_set, a, b, L):
             theta = math.atan2(b, a)
             if -math.pi / 4 < theta <= math.pi / 4:
                 if best is None or theta > best[2]:
@@ -192,20 +198,26 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     return True, math.sqrt(a * a + b * b), theta
 
 
-def _similar_sublattice(a: int, b: int, L: int) -> set[tuple[int, int]]:
-    """All integer combinations of (a, b) and (-b, a) on the torus."""
-    out: set[tuple[int, int]] = set()
-    frontier = [(0, 0)]
-    while frontier:
-        x, y = frontier.pop()
-        if (x, y) in out:
-            continue
-        out.add((x, y))
-        for dx, dy in ((a, b), (-b, a), (-a, -b), (b, -a)):
-            nxt = ((x + dx) % L, (y + dy) % L)
-            if nxt not in out:
-                frontier.append(nxt)
-    return out
+def _is_similar_sublattice(
+    center_set: set[tuple[int, int]], a: int, b: int, L: int
+) -> bool:
+    """True iff center_set (holding the origin) is the subgroup of the L x L
+    torus generated by (a, b) and (-b, a).
+
+    A finite set holding 0 and closed under adding each generator contains
+    the subgroup and is a union of its cosets, so it is the subgroup exactly
+    when the sizes agree.  The subgroup is the image of the lattice spanned by
+    (a, b), (-b, a), (L, 0), (0, L), whose index in Z^2 is the gcd of the 2x2
+    minors of those four rows.
+    """
+    index = math.gcd(a * a + b * b, a * L, b * L, L * L)
+    if len(center_set) * index != L * L:
+        return False
+    return all(
+        ((x + a) % L, (y + b) % L) in center_set
+        and ((x - b) % L, (y + a) % L) in center_set
+        for x, y in center_set
+    )
 
 
 @dataclass
@@ -239,44 +251,45 @@ def concatenate_tiling(t: Tiling, levels: int) -> ConcatenatedTiling:
     L = t.L
     if L % (5**levels) != 0:
         raise TilingError(f"extent {L} not divisible by 5^{levels}")
-    # complex scale factor per level: 2+i for right-handed, 2-i for left
-    omega = complex(2, 1) if t.rotation >= 0 else complex(2, -1)
-    offsets_base = [complex(dx, dy) for dx, dy in t.tile_shape]
+    # Gaussian-integer scale per level: 2+i for right-handed, 2-i for left
+    omega = (2, 1) if t.rotation >= 0 else (2, -1)
+    powers = [(1, 0)]  # omega^j as (re, im)
+    for _ in range(levels):
+        re, im = powers[-1]
+        powers.append((re * omega[0] - im * omega[1], re * omega[1] + im * omega[0]))
 
     level_centers: list[set[tuple[int, int]]] = [
         {(x, y) for y in range(L) for x in range(L)},
         {(c[0] % L, c[1] % L) for c in t.centers},
     ]
     for j in range(2, levels + 1):
-        scale = omega**j
-        prev = level_centers[j - 1]
-        nxt = {
-            c
-            for c in prev
-            if _divides_on_torus(complex(c[0], c[1]), scale, L)
-        }
-        level_centers.append(nxt)
+        # 5^j | L, so c lies in omega^j Z[i] (mod L) iff c * conj(omega^j),
+        # which is 5^j times the quotient, has both components = 0 mod 5^j
+        (re, im), norm = powers[j], 5**j
+        level_centers.append(
+            {
+                (x, y)
+                for x, y in level_centers[j - 1]
+                if (x * re + y * im) % norm == 0 and (y * re - x * im) % norm == 0
+            }
+        )
 
     # per level map: site in level j-1 centers -> (parent center, position)
     parent_maps: list[dict[tuple[int, int], tuple[tuple[int, int], int]]] = []
     for j in range(1, levels + 1):
-        scale = omega ** (j - 1)
-        offs = [scale * o for o in offsets_base]
-        pmap: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-        parents = level_centers[j]
-        for x, y in level_centers[j - 1]:
-            hits = []
-            for pos, o in enumerate(offs, start=1):
-                px = round((x - o.real) % L)
-                py = round((y - o.imag) % L)
-                if (px % L, py % L) in parents:
-                    hits.append(((px % L, py % L), pos))
-            if len(hits) != 1:
+        re, im = powers[j - 1]
+        offs = [(dx * re - dy * im, dx * im + dy * re) for dx, dy in t.tile_shape]
+        hits: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {}
+        for px, py in level_centers[j]:
+            for pos, (ox, oy) in enumerate(offs, start=1):
+                child = ((px + ox) % L, (py + oy) % L)
+                hits[child] = None if child in hits else ((px, py), pos)
+        for child in level_centers[j - 1]:
+            if hits.get(child) is None:
                 raise TilingError(
-                    f"level {j} blocking is not an exact cover at {(x, y)}"
+                    f"level {j} blocking is not an exact cover at {child}"
                 )
-            pmap[(x, y)] = hits[0]
-        parent_maps.append(pmap)
+        parent_maps.append(hits)
 
     top_index = {c: i for i, c in enumerate(sorted(level_centers[levels]))}
     addresses: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
@@ -288,21 +301,6 @@ def concatenate_tiling(t: Tiling, levels: int) -> ConcatenatedTiling:
             path.append(pos)
         addresses[site] = (top_index[cur], tuple(path))
     return ConcatenatedTiling(base=t, levels=levels, addresses=addresses)
-
-
-def _divides_on_torus(c: complex, scale: complex, L: int) -> bool:
-    """True iff c = scale * w (mod L) for some Gaussian integer w."""
-    norm = int(round((scale * scale.conjugate()).real))
-    w = c * scale.conjugate() / norm
-    # candidates differ by L/norm * conj(scale) shifts; test the lattice
-    for kx in range(norm):
-        for ky in range(norm):
-            cand = w + (kx * L + 1j * ky * L) * scale.conjugate() / norm
-            if abs(cand.real - round(cand.real)) < 1e-9 and abs(
-                cand.imag - round(cand.imag)
-            ) < 1e-9:
-                return True
-    return False
 
 
 def render_svg(t: Tiling, cell: int = 24) -> str:

@@ -21,6 +21,7 @@ from .codes import (
 from .pauli import (
     Pauli,
     StabilizerGroup,
+    _region_entropies,
     canonicalize,
     commutes,
     multiply,
@@ -106,8 +107,10 @@ def internal_correlation(state: ToricState, region) -> int:
     """I(A) = sum_i S(edge_i) - S(A); positive iff A holds an internal
     stabilizer (correlation contained within the region)."""
     region = sorted(set(region))
-    single = sum(block_entropy(state, [q]) for q in region)
-    return single - block_entropy(state, region)
+    *single, whole = _region_entropies(
+        state.n, state.group.generators, [[q] for q in region] + [region]
+    )
+    return sum(single) - whole
 
 
 def square_patch_edges(L: int, k: int) -> list[int]:
@@ -157,15 +160,16 @@ def cardinality_scan(
     if regions is None:
         regions = [square_patch_edges(state.L, k) for k in range(1, state.L + 1)]
         regions.append(list(range(n_total)))
+    regions = [sorted(set(region)) for region in regions]
+    edges = sorted(set().union(*regions))
+    entropies = _region_entropies(
+        n_total, state.group.generators, [[q] for q in edges] + regions
+    )
+    single = dict(zip(edges, entropies))
     rows = []
     n_t = None
-    for region in regions:
-        region = sorted(set(region))
-        if not region:
-            rows.append(ScanRow(0, 0, 0))
-            continue
-        s = block_entropy(state, region)
-        corr = internal_correlation(state, region)
+    for region, s in zip(regions, entropies[len(edges) :]):
+        corr = sum(single[q] for q in region) - s
         rows.append(ScanRow(len(region), s, corr))
         if corr > 0 and len(region) < n_total:
             if n_t is None or len(region) > n_t:

@@ -232,6 +232,15 @@ class TestOrderParameterAndThreshold:
         with pytest.raises(ChannelError):
             threshold(CODE, PauliChannel.depolarizing, 0.3, 0.01)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+    def test_non_positive_width_refused(self, width):
+        with pytest.raises(ChannelError, match="width must be > 0"):
+            threshold(CODE, PauliChannel.depolarizing, 0.01, 0.3, width=width)
+
+    def test_width_below_float_resolution_refused(self):
+        with pytest.raises(ChannelError, match="float resolution"):
+            threshold(CODE, PauliChannel.depolarizing, 0.01, 0.3, width=1e-20)
+
 
 class TestLinearize:
     def test_identity_super_attractive(self):

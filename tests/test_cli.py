@@ -35,6 +35,17 @@ class TestExitCodes:
     def test_dfs_above_dimension_cap_refused(self):
         assert run(["dfs", "--qubits", "6"]) == 2
 
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "1e-20"])
+    def test_threshold_bad_width_refused(self, width, tmp_path, capsys):
+        out = tmp_path / "threshold.json"
+        assert run(["threshold", "--width", width, "--out", str(out)]) == 2
+        assert "width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("L", ["0", "-5"])
+    def test_tiling_non_positive_extent_refused(self, L, capsys):
+        assert run(["tiling", "--L", L, "--out", "-"]) == 2
+        assert "extent" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

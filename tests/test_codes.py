@@ -220,6 +220,28 @@ class TestOtherCodes:
             assert code.syndrome(rec) == syn
         assert max(rec.weight for rec in code.recovery_table.values()) == max_weight
 
+    @pytest.mark.parametrize("builder", [five_qubit_code, steane_code, shor_code])
+    def test_recovery_table_matches_text_order_oracle(self, builder):
+        # reference: build candidate Paulis by increasing weight, text order
+        # within a weight, and keep the first one of each syndrome
+        code = builder()
+
+        def candidates():
+            for w in range(code.n + 1):
+                for positions in itertools.combinations(range(code.n), w):
+                    for letters in itertools.product("XYZ", repeat=w):
+                        chars = ["I"] * code.n
+                        for q, c in zip(positions, letters):
+                            chars[q] = c
+                        yield Pauli.from_string("".join(chars))
+
+        expected = {}
+        for p in candidates():
+            expected.setdefault(code.syndrome(p), p)
+            if len(expected) == 2 ** (code.n - code.k):
+                break
+        assert list(build_recovery_table(code).items()) == list(expected.items())
+
 
 class TestToric:
     def test_l3_rank_and_k(self):

@@ -9,6 +9,7 @@ from blockspin.pauli import (
     Pauli,
     PauliError,
     StabilizerGroup,
+    _region_entropies,
     canonicalize,
     commutes,
     contains,
@@ -16,6 +17,7 @@ from blockspin.pauli import (
     inverse,
     multiply,
     random_pauli,
+    stabilizer_entropy,
 )
 
 FIVE_QUBIT_GENS = ["ZZXIX", "XZZXI", "IXZZX", "XIXZZ"]
@@ -198,6 +200,33 @@ def has_minus_identity(elements: set[Pauli]) -> bool:
     return any(e.weight == 0 and e.phase_exp != 0 for e in elements)
 
 
+@st.composite
+def pure_states(draw):
+    """Generators of a random pure stabilizer state on n <= 4 qubits: the
+    Z-basis state rotated by a random circuit of H, S and CNOT gates, whose
+    action on the [x|z] bits is exact (phases are irrelevant to entropies),
+    with generators multiplied into each other so that one qubit can carry
+    X, Y and Z in different rows."""
+    n = draw(st.integers(1, 4))
+    x = np.zeros((n, n), dtype=np.uint8)
+    z = np.eye(n, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 16))):
+        gate = draw(st.sampled_from(["H", "S", "CNOT", "product"]))
+        q = draw(st.integers(0, n - 1))
+        t = (q + draw(st.integers(1, max(n - 1, 1)))) % n
+        if gate == "H":
+            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+        elif gate == "S":
+            z[:, q] ^= x[:, q]
+        elif gate == "CNOT" and t != q:
+            x[:, t] ^= x[:, q]
+            z[:, q] ^= z[:, t]
+        elif gate == "product" and t != q:
+            x[t] ^= x[q]
+            z[t] ^= z[q]
+    return n, [Pauli(x[i], z[i]).hermitian_phase() for i in range(n)]
+
+
 class TestKernelOracles:
     """canonicalize, contains and gf2_rank against brute-force enumeration."""
 
@@ -232,6 +261,36 @@ class TestKernelOracles:
         queries += data.draw(st.lists(paulis(n=group.n), max_size=8))
         for q in queries:
             assert contains(group, q) == lookup(q)
+
+    @given(pure_states())
+    @settings(max_examples=100, deadline=None)
+    def test_region_entropies_count_the_local_subgroup(self, state):
+        # S(A) = |A| - log2 |S_A|, S_A the group elements supported inside A
+        n, gens = state
+        bits = {
+            (e.x_bits.tobytes(), e.z_bits.tobytes())
+            for e in enumerate_group(StabilizerGroup(n, gens))
+        }
+        regions = [
+            list(r) for k in range(n + 1) for r in itertools.combinations(range(n), k)
+        ]
+        expected = []
+        for region in regions:
+            outside = [q for q in range(n) if q not in region]
+            local = sum(
+                1
+                for x, z in bits
+                if not any(x[q] or z[q] for q in outside)
+            )
+            expected.append(len(region) - int(np.log2(local)))
+        assert _region_entropies(n, gens, regions) == expected
+        assert [stabilizer_entropy(n, gens, r) for r in regions] == expected
+
+    @pytest.mark.parametrize("region", [[-1], [0, 3]])
+    def test_entropy_rejects_qubits_outside_the_state(self, region):
+        gens = [Pauli.from_string("ZI"), Pauli.from_string("IZ")]
+        with pytest.raises(ValueError, match="region qubits"):
+            stabilizer_entropy(2, gens, region)
 
     @given(st.integers(0, 6), st.integers(0, 8), st.data())
     @settings(max_examples=150, deadline=None)

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockspin.tiling import (
+    BRICK_OFFSETS,
+    PLUS_OFFSETS,
     Tiling,
     TilingError,
+    _is_similar_sublattice,
     brick_tiling,
     concatenate_tiling,
     plus_tiling,
@@ -72,6 +75,83 @@ class TestTrivialTiling:
         assert rotation == pytest.approx(0.0)
 
 
+class TestExtent:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda L: plus_tiling(L, +1), lambda L: plus_tiling(L, -1), brick_tiling,
+         trivial_tiling],
+        ids=["plus-right", "plus-left", "brick", "trivial"],
+    )
+    @pytest.mark.parametrize("L", [0, -5])
+    def test_non_positive_extent_refused(self, build, L):
+        with pytest.raises(TilingError, match="extent"):
+            build(L)
+
+
+def _bfs_sublattice(a: int, b: int, L: int) -> set[tuple[int, int]]:
+    """Reference: all integer combinations of (a, b) and (-b, a) on the
+    torus, by breadth-first search from the origin."""
+    out: set[tuple[int, int]] = set()
+    frontier = [(0, 0)]
+    while frontier:
+        x, y = frontier.pop()
+        if (x, y) in out:
+            continue
+        out.add((x, y))
+        for dx, dy in ((a, b), (-b, a), (-a, -b), (b, -a)):
+            frontier.append(((x + dx) % L, (y + dy) % L))
+    return out
+
+
+class TestSublatticeTest:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        L=st.integers(1, 12),
+        a=st.integers(-12, 12),
+        b=st.integers(-12, 12),
+        gens=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3),
+        extra=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=6),
+        kind=st.sampled_from(["subgroup", "perturbed", "cosets"]),
+        basis_from_gens=st.booleans(),
+    )
+    def test_matches_bfs_oracle(self, L, a, b, gens, extra, kind, basis_from_gens):
+        # center sets: subgroups generated by (g, rot90 g) pairs, those sets
+        # with arbitrary sites added or removed, or unions of cosets of the
+        # cyclic group of the tested basis vector; the basis is arbitrary or
+        # the first generator shifted by (a, b) * L
+        if basis_from_gens and gens:
+            a, b = gens[0][0] + a * L, gens[0][1] + b * L
+        if kind == "cosets":
+            cyclic = {((k * a) % L, (k * b) % L) for k in range(L)}
+            centers = {
+                ((x + cx) % L, (y + cy) % L)
+                for x, y in [(0, 0), *extra]
+                for cx, cy in cyclic
+            }
+        else:
+            centers = {(0, 0)}
+            for gx, gy in gens:
+                centers |= {
+                    ((cx + sx) % L, (cy + sy) % L)
+                    for cx, cy in centers
+                    for sx, sy in _bfs_sublattice(gx, gy, L)
+                }
+            if kind == "perturbed":
+                centers ^= {(x % L, y % L) for x, y in extra} - {(0, 0)}
+        assert _is_similar_sublattice(centers, a, b, L) == (
+            centers == _bfs_sublattice(a, b, L)
+        )
+
+    @pytest.mark.parametrize("L", [5, 10, 25])
+    def test_plus_centers_accept_their_basis(self, L):
+        centers = set(plus_tiling(L, +1).centers)
+        assert _is_similar_sublattice(centers, 2, 1, L)
+        assert _is_similar_sublattice(centers, 1, -2, L)
+        assert not _is_similar_sublattice(centers, 1, 2, L)
+        # (3, 4) = (2+i)^2 spans the plus centers while 25 does not divide L
+        assert _is_similar_sublattice(centers, 3, 4, L) == (L % 25 != 0)
+
+
 class TestValidator:
     def test_detects_double_cover(self):
         t = plus_tiling(5, +1)
@@ -127,6 +207,35 @@ class TestConcatenation:
         c = concatenate_tiling(plus_tiling(25, +1), 2)
         full = {(tid, path) for tid, path in c.addresses.values()}
         assert len(full) == len(c.addresses)
+
+    @pytest.mark.parametrize("kind", ["plus-right", "plus-left", "brick"])
+    @pytest.mark.parametrize(
+        "L, levels", [(25, 1), (25, 2), (125, 1), (125, 2), (125, 3)]
+    )
+    def test_addresses_reconstruct_sites(self, kind, L, levels):
+        # site = top center + sum_j omega^(j-1) * offset[path_j] (mod L), with
+        # the top centers omega^levels * Z[i] found by brute force
+        if kind == "brick":
+            base, offsets, omega = brick_tiling(L), BRICK_OFFSETS, complex(2, 1)
+        else:
+            hand = +1 if kind == "plus-right" else -1
+            base, offsets, omega = plus_tiling(L, hand), PLUS_OFFSETS, complex(2, hand)
+        scale = omega**levels
+        top = sorted(
+            {
+                (int((w * scale).real) % L, int((w * scale).imag) % L)
+                for w in (complex(x, y) for x in range(L) for y in range(L))
+            }
+        )
+        c = concatenate_tiling(base, levels)
+        assert len(c.addresses) == L * L
+        assert c.top_tile_count == len(top) == L * L // 5**levels
+        for (x, y), (tid, path) in c.addresses.items():
+            assert len(path) == levels
+            site = complex(*top[tid])
+            for j, pos in enumerate(path):
+                site += omega**j * complex(*offsets[pos - 1])
+            assert (int(site.real) % L, int(site.imag) % L) == (x, y)
 
     def test_extent_restriction(self):
         with pytest.raises(TilingError):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from blockspin import pauli
 from blockspin.codes import toric_plaquette_generator, toric_site_generator
-from blockspin.pauli import commutes, multiply
+from blockspin.pauli import commutes, gf2_rank, multiply
 from blockspin.toric_rescale import (
     ToricError,
     ToricState,
@@ -130,6 +131,63 @@ class TestCardinalityScan:
             "region_size,entropy_bits,internal_correlation_bits"
         )
         assert len(text.splitlines()) == len(scan.rows) + 1
+
+
+def _oracle_entropy(state, region) -> int:
+    """Reference S(A) = |A| - (n - rank of the generators on the complement)."""
+    n = state.n
+    mat = np.array(
+        [np.concatenate([g.x_bits, g.z_bits]) for g in state.group.generators],
+        dtype=np.uint8,
+    )
+    assert gf2_rank(mat) == n
+    comp = [q for q in range(n) if q not in set(region)]
+    sub = gf2_rank(mat[:, comp + [n + q for q in comp]]) if comp else 0
+    return len(region) - (n - sub)
+
+
+class TestScanOracle:
+    @pytest.mark.parametrize("side", [3, 4, 5, 6])
+    def test_scan_matches_definition(self, side):
+        state = ToricState(side)
+        rng = np.random.default_rng(side)
+        random_regions = [
+            sorted(rng.choice(state.n, size=size, replace=False).tolist())
+            for size in (1, 2, state.n // 3, state.n - 1)
+        ]
+        default = [square_patch_edges(side, k) for k in range(1, side + 1)]
+        default.append(list(range(state.n)))
+        for regions, scan in (
+            (default, cardinality_scan(state)),
+            (random_regions, cardinality_scan(state, random_regions)),
+        ):
+            expected = []
+            for region in regions:
+                s = _oracle_entropy(state, region)
+                single = sum(_oracle_entropy(state, [q]) for q in region)
+                expected.append((len(region), s, single - s))
+            assert [(r.region_size, r.entropy, r.correlation) for r in scan.rows] == (
+                expected
+            )
+        for region in random_regions:
+            s = _oracle_entropy(state, region)
+            assert block_entropy(state, region) == s
+            assert internal_correlation(state, region) == sum(
+                _oracle_entropy(state, [q]) for q in region
+            ) - s
+
+    @pytest.mark.parametrize("side", [3, 5])
+    def test_rank_calls_bounded(self, side, monkeypatch):
+        # one rank for purity, at most one per distinct edge and one per region
+        state = ToricState(side)
+        regions = [square_patch_edges(side, k) for k in range(1, side + 1)]
+        regions.append(list(range(state.n)))
+        edges = set().union(*regions)
+        calls = []
+        real = pauli.gf2_rank
+        monkeypatch.setattr(pauli, "gf2_rank", lambda m: calls.append(1) or real(m))
+        cardinality_scan(state)
+        assert 0 < len(calls) <= 1 + len(edges) + len(regions)
 
 
 class TestVerifyRescaling:
