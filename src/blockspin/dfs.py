@@ -12,10 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIM_CAP = 32  # n = 6 (dim 64) spends minutes in closure, then merges blocks
-CLOSURE_TOL = 1e-10
+DIM_CAP = 64  # collective noise on n = 6 qubits
+# commutant unknowns: 924 for collective noise on 6 qubits, and every input of
+# dimension <= 32 fits; a 1024-unknown Gram is 17 MB and its eigh ~1 s, while
+# 4096 (the identity alone at dimension 64) needs 270 MB and about a minute
+MAX_UNKNOWNS = 1024
+# Gram eigenvalues are squared singular values of the commutator constraints,
+# so the cut is relative to 4 tr S, which bounds the largest of them and stays
+# nonzero when the Gram vanishes (scalar generators): for collective noise the
+# null ones sit below 1e-15 of it and the rest above 1e-3
+NULL_SPACE_TOL = 1e-10
+# eigenvalue gaps below CLUSTER_TOL are rounding inside one eigenspace, gaps
+# above CLUSTER_AMBIGUOUS separate eigenspaces; in between is refused, except
+# in the generator spectrum, where merging eigenspaces stays exact
 CLUSTER_TOL = 1e-8
 CLUSTER_AMBIGUOUS = 1e-6
+# copy couplings relative to the norm of the coupling element: inequivalent
+# copies couple at rounding level, equivalent ones at a Gaussian draw that
+# falls below COUPLING_AMBIGUOUS with odds of order 1e-6; in between is refused
+COUPLING_TOL = 1e-8
+COUPLING_AMBIGUOUS = 1e-6
 
 
 class AlgebraError(ValueError):
@@ -32,17 +48,11 @@ class OperatorSet:
     def __post_init__(self):
         if self.dim > DIM_CAP:
             raise AlgebraError(f"dimension {self.dim} exceeds cap {DIM_CAP}")
+        if not self.generators:
+            raise AlgebraError("no generators")
         for g in self.generators:
             if g.shape != (self.dim, self.dim):
                 raise AlgebraError("generator shape mismatch")
-
-    def closed_generators(self) -> list[np.ndarray]:
-        """Generators with identity and adjoints adjoined."""
-        out = [np.eye(self.dim, dtype=complex)]
-        for g in self.generators:
-            out.append(g.astype(complex))
-            out.append(g.conj().T.astype(complex))
-        return out
 
 
 @dataclass
@@ -69,181 +79,114 @@ class AlgebraDecomposition:
         return sum(b.irrep_dim * b.multiplicity for b in self.blocks) == self.dim
 
 
-def _orthonormal_span(mats: list[np.ndarray], tol: float = CLOSURE_TOL):
-    """Orthonormal basis (as matrices) of the span, via SVD of flattenings."""
-    if not mats:
-        return []
-    dim = mats[0].shape[0]
-    stack = np.stack([m.reshape(-1) for m in mats])
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = s > tol * max(1.0, s[0])
-    return [vh[i].reshape(dim, dim) for i in range(len(s)) if keep[i]]
+def commutant(generators: list[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal basis of the operators commuting with the generators and
+    their adjoints: the commutant of the *-algebra they generate.
 
+    Every commutant element commutes with H = M + M^+, M a complex combination
+    of the generators, so in H's eigenbasis V it is block-diagonal over H's
+    eigenvalue clusters; only those entries X[i, k] are unknowns (merging
+    clusters adds unknowns but stays exact).  For matrix units E_u = |i_u><k_u|
+    the Gram of the constraints [E_u, h] = 0, over h in the generators and
+    their adjoints written in V's basis and S = sum_h h^+ h, is
 
-def algebra_closure(ops: OperatorSet) -> list[np.ndarray]:
-    """Orthonormal basis of the associative algebra generated by ops.
+        G[u, v] = [i_u = i_v] conj(S[k_u, k_v]) + [k_u = k_v] S[i_u, i_v]
+                  - 2 sum_h h[i_u, i_v] conj(h[k_u, k_v])
 
-    Iterates products against the current basis until the span stops
-    growing; includes the identity and is adjoint-closed by construction.
+    and its null space, rotated back by V, is the commutant.
     """
-    basis = _orthonormal_span(ops.closed_generators())
-    while True:
-        products = list(basis)
-        for a in basis:
-            for b in basis:
-                products.append(a @ b)
-        new_basis = _orthonormal_span(products)
-        if len(new_basis) == len(basis):
-            return new_basis
-        if len(new_basis) > ops.dim**2:
-            raise AlgebraError("closure exceeded the full matrix algebra")
-        basis = new_basis
-
-
-def commutant(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of all operators commuting with the given algebra.
-
-    Null space of the stacked commutator constraints; practical up to
-    dim ~ 24 (operator space dim^2 columns in a dense SVD).
-    """
-    dim = basis[0].shape[0]
-    if dim > 24:
-        raise AlgebraError("explicit commutant basis limited to dim <= 24")
-    eye = np.eye(dim)
-    rows = []
-    for b in basis:
-        rows.append(np.kron(eye, b) - np.kron(b.T, eye))
-    constraint = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(constraint, full_matrices=True)
-    null_dim = int(np.count_nonzero(s < CLOSURE_TOL * max(1.0, s[0])))
-    null_dim += vh.shape[0] - len(s)
-    vecs = vh[vh.shape[0] - null_dim :]
-    return [v.reshape(dim, dim) for v in vecs]
-
-
-def _center_basis(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Basis of the center: algebra elements commuting with the whole basis."""
-    k = len(basis)
-    gram = np.zeros((k, k), dtype=complex)
-    for b in basis:
-        comms = [x @ b - b @ x for x in basis]
-        flat = np.stack([c.reshape(-1) for c in comms])
-        gram += flat.conj() @ flat.T
-    evals, evecs = np.linalg.eigh(gram)
-    scale = max(1.0, float(evals[-1].real)) if k else 1.0
-    center = []
-    for i in range(k):
-        if evals[i].real < CLOSURE_TOL**2 * scale:
-            center.append(sum(evecs[j, i] * basis[j] for j in range(k)))
-    return center
+    dim = generators[0].shape[0]
+    gens = [g.astype(complex) for g in generators]
+    # complex weights keep each generator's Hermitian and anti-Hermitian part,
+    # so a generic draw has the smallest eigenspaces and the fewest unknowns
+    rng = np.random.default_rng(0)
+    m = sum(complex(*rng.normal(size=2)) * g for g in gens)
+    evals, v = np.linalg.eigh(m + m.conj().T)
+    # relative gaps, so the clusters do not depend on the generators' units
+    evals /= np.abs(evals).max() or 1.0
+    splits = np.flatnonzero(np.diff(evals) >= CLUSTER_AMBIGUOUS) + 1
+    clusters = np.split(np.arange(dim), splits)
+    unknowns = sum(len(c) ** 2 for c in clusters)
+    if unknowns > MAX_UNKNOWNS:
+        raise AlgebraError(f"{unknowns} commutant unknowns exceed cap {MAX_UNKNOWNS}")
+    i, k = np.array([(a, b) for idx in clusters for a in idx for b in idx]).T
+    hs = [v.conj().T @ h @ v for g in gens for h in (g, g.conj().T)]
+    s = sum(h.conj().T @ h for h in hs)
+    gram = (i[:, None] == i) * s[np.ix_(k, k)].conj()
+    gram += (k[:, None] == k) * s[np.ix_(i, i)]
+    for h in hs:
+        gram -= 2 * h[np.ix_(i, i)] * h[np.ix_(k, k)].conj()
+    g_evals, g_vecs = np.linalg.eigh(gram)
+    null = g_evals <= NULL_SPACE_TOL * 4 * s.trace().real
+    x = np.zeros((int(null.sum()), dim, dim), dtype=complex)
+    x[:, i, k] = g_vecs[:, null].T
+    return list(v @ x @ v.conj().T)
 
 
 def _cluster(values: np.ndarray) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters; ambiguous gaps are an error."""
-    order = np.argsort(values)
-    clusters = [[order[0]]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        gap = values[cur] - values[prev]
-        if gap < CLUSTER_TOL:
-            clusters[-1].append(cur)
-        elif gap < CLUSTER_AMBIGUOUS:
-            raise AlgebraError(
-                f"central spectrum gap {gap:.2e} is numerically ambiguous"
-            )
-        else:
-            clusters.append([cur])
-    return [np.array(c) for c in clusters]
+    """Index clusters of sorted commutant eigenvalues; ambiguous gaps are an error."""
+    gaps = np.diff(values)
+    ambiguous = gaps[(gaps >= CLUSTER_TOL) & (gaps < CLUSTER_AMBIGUOUS)]
+    if ambiguous.size:
+        raise AlgebraError(
+            f"commutant spectrum gap {ambiguous.min():.2e} is numerically ambiguous"
+        )
+    return np.split(np.arange(len(values)), np.flatnonzero(gaps >= CLUSTER_TOL) + 1)
+
+
+def _random_element(basis: list[np.ndarray], rng) -> np.ndarray:
+    coef = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    return sum(c * b for c, b in zip(coef, basis))
 
 
 def decompose(ops: OperatorSet, seed: int = 2024) -> AlgebraDecomposition:
-    """Isotypic block decomposition via a random Hermitian central element.
+    """Isotypic block decomposition from two random commutant elements.
 
-    Deterministic given seed.  Each spectral cluster of the central element
-    is one isotypic block; within a block, d_i follows from the dimension of
-    the restricted algebra and the inner tensor factorization is built from
-    the eigenspaces of a random Hermitian algebra element.
+    Deterministic given seed.  The eigenspaces of a random Hermitian
+    commutant element are the irreducible copies.  A second random commutant
+    element K couples copies a and b (Q_b^+ K Q_a != 0) only when they carry
+    equivalent irreps, and then Q_b^+ K Q_a is a scalar times a unitary
+    intertwiner.  Normalized, it rotates copy b onto the basis of the first
+    copy of its block, so each block's generators read A (x) I_m with columns
+    ordered (irrep, copy).  Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+    Appl. Math. 27 (2010).
     """
     rng = np.random.default_rng(seed)
-    basis = algebra_closure(ops)
-    center = _center_basis(basis)
-    dim = ops.dim
-    z = np.zeros((dim, dim), dtype=complex)
-    for c in center:
-        z += rng.normal() * (c + c.conj().T)
-        z += rng.normal() * 1j * (c - c.conj().T)
-    evals, evecs = np.linalg.eigh(z)
-    blocks = []
-    for idx in _cluster(evals):
-        q = evecs[:, idx]  # dim x D isometry onto the isotypic block
-        d_block = q.shape[1]
-        restricted = [q.conj().T @ b @ q for b in basis]
-        alg_dim = len(_orthonormal_span(restricted))
-        d_i = int(round(np.sqrt(alg_dim)))
-        if d_i * d_i != alg_dim or d_block % d_i != 0:
-            raise AlgebraError(
-                f"restricted algebra dimension {alg_dim} is not a perfect "
-                f"square dividing the block"
-            )
-        m_i = d_block // d_i
-        q_aligned = _align_block(restricted, q, d_i, m_i, rng)
-        blocks.append(Block(irrep_dim=d_i, multiplicity=m_i, isometry=q_aligned))
-    blocks.sort(key=lambda b: (-b.irrep_dim, -b.multiplicity))
-    dec = AlgebraDecomposition(dim=dim, blocks=blocks)
-    if not dec.check_dimensions():
-        raise AlgebraError("block dimensions do not add up to the space")
-    return dec
-
-
-def _align_block(
-    restricted: list[np.ndarray], q: np.ndarray, d: int, m: int, rng
-) -> np.ndarray:
-    """Rotate the block isometry so the restricted algebra is Mat(d) (x) I_m.
-
-    Uses eigenspaces of a random Hermitian algebra element (each eigenvalue
-    has multiplicity m) and a second element to intertwine the copies.
-    """
-    if d == 1:
-        return q
-    D = d * m
-    for attempt in range(8):
-        a = np.zeros((D, D), dtype=complex)
-        for r in restricted:
-            coef = rng.normal()
-            a += coef * r + coef * r.conj().T
-        evals, evecs = np.linalg.eigh(a)
-        # need d distinct eigenvalues, each with multiplicity m
-        try:
-            clusters = _cluster(evals)
-        except AlgebraError:
-            continue
-        if len(clusters) != d or any(len(c) != m for c in clusters):
-            continue
-        b = np.zeros((D, D), dtype=complex)
-        for r in restricted:
-            coef = rng.normal()
-            b += coef * r + coef * r.conj().T
-        ref = evecs[:, clusters[0]]  # basis of the first eigenspace, D x m
-        cols = []
-        ok = True
-        for c_idx in clusters:
-            space = evecs[:, c_idx]
-            if c_idx is clusters[0]:
-                cols.append(ref)
-                continue
-            t = space @ (space.conj().T @ b @ ref)  # map copies of eigsp 1
-            # t should be (scalar) x unitary from ref-coords; normalize
-            norm = np.linalg.norm(t) / np.sqrt(m)
-            if norm < 1e-10:
-                ok = False
+    basis = commutant(ops.generators)
+    herm = _random_element(basis, rng)
+    evals, evecs = np.linalg.eigh(herm + herm.conj().T)
+    k = _random_element(basis, rng)
+    scale = np.linalg.norm(k)
+    groups: list[list[np.ndarray]] = []  # aligned copies, one list per block
+    for q in (evecs[:, idx] for idx in _cluster(evals)):
+        for group in groups:
+            c = q.conj().T @ k @ group[0]
+            strength = np.linalg.norm(c) / scale
+            if strength >= COUPLING_AMBIGUOUS:
+                group.append(q @ c * (np.sqrt(len(c)) / np.linalg.norm(c)))
                 break
-            cols.append(t / norm)
-        if not ok:
-            continue
-        rot = np.concatenate(cols, axis=1)  # D x D, ordered (irrep idx, copy)
-        if np.linalg.norm(rot.conj().T @ rot - np.eye(D)) > 1e-8:
-            continue
-        return q @ rot
-    raise AlgebraError("failed to align block factorization (degenerate draws)")
+            if strength >= COUPLING_TOL:
+                raise AlgebraError(
+                    f"copy coupling {strength:.2e} is numerically ambiguous"
+                )
+        else:
+            groups.append([q])
+    blocks = [
+        Block(
+            irrep_dim=g[0].shape[1],
+            multiplicity=len(g),
+            isometry=np.stack(g, axis=2).reshape(ops.dim, -1),
+        )
+        for g in groups
+    ]
+    blocks.sort(key=lambda b: (-b.irrep_dim, -b.multiplicity))
+    dec = AlgebraDecomposition(dim=ops.dim, blocks=blocks)
+    if dec.commutant_dim != len(basis):
+        raise AlgebraError(
+            f"blocks give commutant dimension {dec.commutant_dim}, not "
+            f"{len(basis)}: a copy was split, merged or left unpaired"
+        )
+    return dec
 
 
 @dataclass
@@ -270,20 +213,32 @@ def find_noiseless(dec: AlgebraDecomposition) -> list[NoiselessBlock]:
     ]
 
 
+def algebra_closure(dec: AlgebraDecomposition) -> list[np.ndarray]:
+    """Orthonormal basis of the unital *-algebra the generators generate,
+    read off the blocks as (+)_i Mat(d_i) (x) I_{m_i}: the operators
+    U_i (E_ab (x) I_m) U_i^+ / sqrt(m) for each block i and a, b < d_i."""
+    basis = []
+    for b in dec.blocks:
+        x = b.isometry.reshape(dec.dim, b.irrep_dim, b.multiplicity)
+        for a in range(b.irrep_dim):
+            for c in range(b.irrep_dim):
+                basis.append(x[:, a] @ x[:, c].conj().T / np.sqrt(b.multiplicity))
+    return basis
+
+
 def block_diagonal_residual(dec: AlgebraDecomposition, ops: OperatorSet) -> float:
-    """Largest off-block matrix element of the generators in the found basis."""
-    u = np.concatenate([b.isometry for b in dec.blocks], axis=1)
-    worst = 0.0
-    for g in ops.closed_generators():
-        rot = u.conj().T @ g @ u
-        offset = 0
-        mask = np.ones_like(rot, dtype=bool)
-        for b in dec.blocks:
-            size = b.irrep_dim * b.multiplicity
-            mask[offset : offset + size, offset : offset + size] = False
-            offset += size
-        worst = max(worst, float(np.abs(rot[mask]).max()) if mask.any() else 0.0)
-    return worst
+    """Largest entry of g - P(g), relative to g's largest entry, over the
+    identity and the generators, P the projection onto the span of
+    `algebra_closure(dec)`.  It is rounding when the blocks' isometries
+    together form a unitary and every generator reads (+)_i A_i (x) I_{m_i}
+    in it: off-block entries, blocks that overlap and copies left unaligned
+    all show in it."""
+    basis = np.stack([b.reshape(-1) for b in algebra_closure(dec)])
+    residual = 0.0
+    for g in (np.eye(dec.dim), *ops.generators):
+        flat = g.reshape(-1) / (np.abs(g).max() or 1.0)
+        residual = max(residual, float(np.abs(flat - (basis.conj() @ flat) @ basis).max()))
+    return residual
 
 
 def collective_noise_generators(n_qubits: int) -> OperatorSet:

@@ -141,11 +141,6 @@ def trivial_tiling(L: int) -> Tiling:
     )
 
 
-def _signed_rep(v: int, L: int) -> int:
-    v %= L
-    return v - L if v > L // 2 else v
-
-
 def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     """Verify exact cover and fit a similar sublattice basis to the centers.
 
@@ -172,19 +167,18 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     center_set = {(c[0] % L, c[1] % L) for c in t.centers}
     if (0, 0) not in center_set:
         raise TilingError("center sublattice must contain the origin")
-    # candidate basis vectors: minimal-norm nonzero centers in signed reps
-    reps = sorted(
-        {
-            (_signed_rep(x, L), _signed_rep(y, L))
-            for (x, y) in center_set
-            if (x, y) != (0, 0)
-        },
-        key=lambda v: (v[0] ** 2 + v[1] ** 2, v),
-    )
-    if not reps:
+    # candidate basis vectors: minimal-norm nonzero centers in signed reps,
+    # coordinates in (-L/2, L/2], so of norm at most L^2 / 2
+    min_norm, candidates = L * L, []
+    for x, y in center_set:
+        v = (x - L if x > L // 2 else x, y - L if y > L // 2 else y)
+        norm = v[0] ** 2 + v[1] ** 2
+        if 0 < norm < min_norm:
+            min_norm, candidates = norm, [v]
+        elif norm == min_norm:
+            candidates.append(v)
+    if not candidates:
         raise TilingError("no nonzero centers to fit")
-    min_norm = reps[0][0] ** 2 + reps[0][1] ** 2
-    candidates = [v for v in reps if v[0] ** 2 + v[1] ** 2 == min_norm]
     best = None
     for a, b in candidates:
         if _is_similar_sublattice(center_set, a, b, L):

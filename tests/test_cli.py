@@ -33,7 +33,7 @@ class TestExitCodes:
         assert doc["code"]["n"] == 5
 
     def test_dfs_above_dimension_cap_refused(self):
-        assert run(["dfs", "--qubits", "6"]) == 2
+        assert run(["dfs", "--qubits", "7"]) == 2
 
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "1e-20"])
     def test_threshold_bad_width_refused(self, width, tmp_path, capsys):
