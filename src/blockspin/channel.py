@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 from .codes import StabilizerCode, _logical_class_index
 from .pauli import Pauli

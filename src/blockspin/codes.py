@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._numpy import np
 
 from .pauli import (
     Pauli,
@@ -131,20 +131,18 @@ class StabilizerCode:
         )
 
 
-_PAIRINGS_TO_CLASS = np.array([[0, 3], [1, 2]], dtype=np.uint8)
-
-
 def _logical_class_index(code: StabilizerCode, x: np.ndarray, z: np.ndarray):
     """Logical class 0..3 (I, X, Y, Z) of syndrome-free residuals of a k=1 code.
 
     x and z hold the residual bits, qubits on the last axis and any leading
     shape.  A residual is Xbar^a Zbar^b times a stabilizer, so a is its
-    symplectic pairing with Zbar and b its pairing with Xbar.
+    symplectic pairing with Zbar and b its pairing with Xbar; a ^ 3b maps
+    (0, 0), (1, 0), (1, 1), (0, 1) to 0, 1, 2, 3.
     """
     lx, lz = code.logical_x[0], code.logical_z[0]
     a = (x @ lz.z_bits + z @ lz.x_bits) % 2
     b = (x @ lx.z_bits + z @ lx.x_bits) % 2
-    return _PAIRINGS_TO_CLASS[a, b]
+    return a ^ (3 * b)
 
 
 def _supports_by_weight(n: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 DIM_CAP = 64  # collective noise on n = 6 qubits
 # commutant unknowns: 924 for collective noise on 6 qubits, and every input of

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
+from ._numpy import np
 
 _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}

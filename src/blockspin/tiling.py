@@ -179,17 +179,16 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
             candidates.append(v)
     if not candidates:
         raise TilingError("no nonzero centers to fit")
-    best = None
-    for a, b in candidates:
-        if _is_similar_sublattice(center_set, a, b, L):
-            theta = math.atan2(b, a)
-            if -math.pi / 4 < theta <= math.pi / 4:
-                if best is None or theta > best[2]:
-                    best = (a, b, theta)
-    if best is None:
-        raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
-    a, b, theta = best
-    return True, math.sqrt(a * a + b * b), theta
+    # the largest rotation in the window whose basis generates the centers;
+    # the window holds one of each four 90-degree rotations of a generator,
+    # so on a similar sublattice one check usually decides
+    by_theta = sorted(((math.atan2(b, a), a, b) for a, b in candidates), reverse=True)
+    for theta, a, b in by_theta:
+        if -math.pi / 4 < theta <= math.pi / 4 and _is_similar_sublattice(
+            center_set, a, b, L
+        ):
+            return True, math.sqrt(a * a + b * b), theta
+    raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
 
 
 def _is_similar_sublattice(

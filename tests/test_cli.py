@@ -1,9 +1,13 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import pytest
 
-from blockspin.cli import main
+import blockspin
+from blockspin.cli import DOMAIN_ERRORS, main
 
 
 def run(argv):
@@ -59,6 +63,25 @@ class TestExitCodes:
     def test_shor_channel_subcommands(self, argv, tmp_path):
         out = tmp_path / "out"
         assert run([*argv, "--code", "shor", "--out", str(out)]) == 0
+
+    def test_indeterminate_flow_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "threshold.json"
+        assert run(["threshold", "--max-levels", "1", "--out", str(out)]) == 2
+        assert "unresolved" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_package_error_is_a_domain_error(self):
+        errors = [
+            obj
+            for info in pkgutil.iter_modules(blockspin.__path__)
+            for name, obj in vars(importlib.import_module(f"blockspin.{info.name}")).items()
+            if name.endswith("Error")
+            and inspect.isclass(obj)
+            and obj.__module__.startswith("blockspin.")
+        ]
+        assert len({e.__name__ for e in errors}) >= 9
+        for err in errors:
+            assert issubclass(err, DOMAIN_ERRORS), err
 
 
 class TestArtifacts:

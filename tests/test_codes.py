@@ -8,6 +8,7 @@ from blockspin.codes import (
     CodeError,
     StabilizerCode,
     TileHamiltonian,
+    _logical_class_index,
     _solve_gf2,
     build_recovery_table,
     check_correctable,
@@ -346,3 +347,22 @@ class TestSolveGF2:
         assert (x is not None) == solvable
         if x is not None:
             assert np.array_equal(a @ x % 2, b)
+
+
+def test_logical_class_index_matches_pairing_table():
+    # the (a, b) -> class table the bit arithmetic replaced, dtype included
+    table = np.array([[0, 3], [1, 2]], dtype=np.uint8)
+    code = five_qubit_code()
+    lx, lz = code.logical_x[0], code.logical_z[0]
+    residuals = [Pauli.identity(code.n), lx, multiply(lx, lz), lz]
+    x = np.array([p.x_bits for p in residuals])
+    z = np.array([p.z_bits for p in residuals])
+    a = (x @ lz.z_bits + z @ lz.x_bits) % 2
+    b = (x @ lx.z_bits + z @ lx.x_bits) % 2
+    assert sorted(zip(a.tolist(), b.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    got = _logical_class_index(code, x, z)
+    assert got.dtype == table[a, b].dtype == np.uint8
+    assert got.tolist() == table[a, b].tolist() == [0, 1, 2, 3]
+    for p, want in zip(residuals, table[a, b]):
+        one = _logical_class_index(code, p.x_bits, p.z_bits)
+        assert type(one) is type(want) and one == want

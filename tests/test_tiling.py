@@ -180,6 +180,38 @@ class TestValidator:
             validate_tiling(bad)
 
 
+def _max_theta_over_similar(t: Tiling) -> tuple[bool, float, float]:
+    """The earlier rule: check every minimal-norm candidate, then take the
+    largest rotation in (-pi/4, pi/4] among the similar ones."""
+    L = t.L
+    center_set = {(x % L, y % L) for x, y in t.centers}
+    signed = [(x - L if x > L // 2 else x, y - L if y > L // 2 else y) for x, y in center_set]
+    min_norm = min(a * a + b * b for a, b in signed if (a, b) != (0, 0))
+    thetas = [
+        (math.atan2(b, a), a, b)
+        for a, b in signed
+        if a * a + b * b == min_norm and _is_similar_sublattice(center_set, a, b, L)
+    ]
+    theta, a, b = max(w for w in thetas if -math.pi / 4 < w[0] <= math.pi / 4)
+    return True, math.sqrt(a * a + b * b), theta
+
+
+@pytest.mark.parametrize("L", [5, 25, 250])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda L: plus_tiling(L, +1),
+        lambda L: plus_tiling(L, -1),
+        brick_tiling,
+        trivial_tiling,
+    ],
+    ids=["plus-right", "plus-left", "brick", "trivial"],
+)
+def test_first_passing_candidate_matches_max_theta_rule(build, L):
+    t = build(L)
+    assert validate_tiling(t) == _max_theta_over_similar(t)
+
+
 class TestConcatenation:
     def test_single_level_reduces_to_base(self):
         base = plus_tiling(5, +1)
