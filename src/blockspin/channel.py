@@ -13,12 +13,15 @@ memory-support correlation functional.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, mul
 
 from ._numpy import np
 
 from .codes import StabilizerCode, _logical_class_index
-from .pauli import Pauli
+from .pauli import Pauli, _pack
 
 _LOGICAL_NAMES = ("I", "X", "Y", "Z")
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
@@ -43,19 +46,24 @@ class PauliChannel:
     p_z: float
 
     def __post_init__(self):
-        probs = self.as_array()
-        if np.any(probs < -PROBABILITY_SLACK):
+        probs = self.probs
+        if not all(map(math.isfinite, probs)):
+            raise ChannelError(f"non-finite probability in {probs}")
+        if min(probs) < -PROBABILITY_SLACK:
             raise ChannelError(f"negative probability in {probs}")
-        if abs(probs.sum() - 1.0) > PROBABILITY_SLACK:
-            raise ChannelError(f"probabilities sum to {probs.sum()}, not 1")
+        if abs(sum(probs) - 1.0) > PROBABILITY_SLACK:
+            raise ChannelError(f"probabilities sum to {sum(probs)}, not 1")
+
+    @property
+    def probs(self) -> tuple[float, float, float, float]:
+        return (self.p_i, self.p_x, self.p_y, self.p_z)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.p_i, self.p_x, self.p_y, self.p_z], dtype=float)
+        return np.array(self.probs, dtype=float)
 
     @classmethod
     def from_array(cls, a) -> "PauliChannel":
-        a = np.asarray(a, dtype=float)
-        return cls(a[0], a[1], a[2], a[3])
+        return cls(*map(float, a))
 
     @classmethod
     def identity(cls) -> "PauliChannel":
@@ -79,7 +87,7 @@ class PauliChannel:
     def quality(self) -> float:
         """Hashing-bound proxy q = 1 - H2(p); 1 at identity, -1 at uniform."""
         h = 0.0
-        for p in self.as_array():
+        for p in self.probs:
             if p > 0.0:
                 h -= p * math.log2(p)
         return 1.0 - h
@@ -89,59 +97,74 @@ class PauliChannel:
 class LogicalActionTable:
     """Logical action of lookup recovery for one code.
 
-    cls[e] is the residual logical class of error index e (base-4 digits
-    0=I,1=X,2=Y,3=Z, first qubit most significant).  coeff[c, m] counts the
-    errors of type composition exps[m] = (#I, #X, #Y, #Z) left in class c:
-    the code's logical weight enumerator.
+    classes[e] is the residual logical class of error index e (base-4 digits
+    0=I,1=X,2=Y,3=Z, first qubit most significant); `cls` is the same as a
+    read-only uint8 array.  coeff[c][m] counts the errors of type
+    composition exps[m] = (#I, #X, #Y, #Z) left in class c: the code's
+    logical weight enumerator.
     """
 
     code: StabilizerCode
-    cls: np.ndarray
-    coeff: np.ndarray
-    exps: np.ndarray
+    classes: bytes
+    coeff: tuple[tuple[int, ...], ...]
+    exps: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def cls(self) -> np.ndarray:
+        return np.frombuffer(self.classes, dtype=np.uint8)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[float, ...], ...]:
+        """coeff as floats, for evaluation; exact, as every count is < 2^53."""
+        return tuple(tuple(map(float, row)) for row in self.coeff)
 
     @classmethod
     def build(cls, code: StabilizerCode) -> "LogicalActionTable":
+        """Tabulate all 4^n errors as a product over qubits.
+
+        The syndrome and the logical class index (`_logical_class_index`) are
+        both sums over qubits mod 2, so an error's signature (syndrome bits
+        above the 2-bit class index) is the XOR of its letters' signatures,
+        and its (#X, #Y, #Z) key the sum of theirs.  The recovery for
+        syndrome s leaves the class index of the error XOR that of the
+        recovery, so the class is a lookup in a 2^(r+2)-entry table.
+        """
         if code.k != 1:
             raise ChannelError("effective channel requires k=1")
         if code.n > 10:
             raise ChannelError("exact enumeration limited to n <= 10")
-        n = code.n
-        n_err = 4**n
-        comps = np.zeros((n_err, n), dtype=np.uint8)
-        idx = np.arange(n_err)
-        for q in range(n):
-            comps[:, n - 1 - q] = (idx // 4**q) % 4
-        # X/Z bit content per single-qubit component 0..3 = I,X,Y,Z.
-        xs = np.array([0, 1, 1, 0], dtype=np.uint8)[comps]
-        zs = np.array([0, 0, 1, 1], dtype=np.uint8)[comps]
-        gens = code.stabilizer.generators
-        syn_idx = np.zeros(n_err, dtype=np.int64)  # first generator high
-        for g in gens:
-            syn_idx = 2 * syn_idx + (xs @ g.z_bits + zs @ g.x_bits) % 2
-        n_syn = 2 ** len(gens)
-        pow2 = 2 ** np.arange(len(gens) - 1, -1, -1, dtype=np.int64)
-        rec_x_by_syn = np.full((n_syn, n), 255, dtype=np.uint8)
-        rec_z_by_syn = np.full((n_syn, n), 255, dtype=np.uint8)
-        for s, p in code.recovery_table.items():
-            si = int(np.array(s, dtype=np.int64) @ pow2)
-            rec_x_by_syn[si] = p.x_bits
-            rec_z_by_syn[si] = p.z_bits
-        if np.any(rec_x_by_syn == 255):
+        n, r = code.n, code.n - code.k
+        if len(code.recovery_table) != 2**r:
             raise ChannelError("incomplete recovery table")
-        # the recovered residuals are syndrome-free
-        classes = _logical_class_index(
-            code, xs ^ rec_x_by_syn[syn_idx], zs ^ rec_z_by_syn[syn_idx]
+        lookup = [0] * (4 << r)
+        for s, rec in code.recovery_table.items():
+            base, shift = _pack(s) << 2, _logical_class_index(code, rec)
+            for c in range(4):
+                lookup[base | c] = c ^ shift
+
+        def signature(p: Pauli) -> int:
+            return _pack(code.syndrome(p)) << 2 | _logical_class_index(code, p)
+
+        b = n + 1  # keys (#X, #Y, #Z) in base b
+        sigs, keys = [0], [0]
+        for q in range(n):
+            bit = 1 << (n - 1 - q)
+            letters = [signature(Pauli.packed(n, x * bit, z * bit))
+                       for x, z in ((0, 0), (1, 0), (1, 1), (0, 1))]
+            sigs = [s ^ t for s in sigs for t in letters]
+            keys = [k + t for k in keys for t in (0, b * b, b, 1)]
+        classes = bytes(map(lookup.__getitem__, sigs))
+        # count errors by class * b^3 + key, in C: map, not a generator
+        tally = Counter(map(add, map((b**3).__mul__, classes), keys))
+        exps = tuple(
+            (n - x - y - z, x, y, z)
+            for x in range(b) for y in range(b - x) for z in range(b - x - y)
         )
-        # tally errors by class and composition, keyed (#X, #Y, #Z) in base b
-        b = n + 1
-        key = np.array([0, b * b, b, 1], dtype=np.int16)[comps].sum(axis=1)
-        flat = classes.astype(np.int64) * b**3 + key
-        counts = np.bincount(flat, minlength=4 * b**3).reshape(4, -1)
-        keys = np.flatnonzero(counts.sum(axis=0))  # the C(n+3, 3) compositions
-        xyz = np.column_stack([keys // (b * b), keys // b % b, keys % b])
-        exps = np.column_stack([n - xyz.sum(axis=1), xyz])
-        return cls(code=code, cls=classes, coeff=counts[:, keys], exps=exps)
+        coeff = tuple(
+            tuple(tally[c * b**3 + (x * b + y) * b + z] for _, x, y, z in exps)
+            for c in range(4)
+        )
+        return cls(code=code, classes=classes, coeff=coeff, exps=exps)
 
 
 _table_cache: dict[int, LogicalActionTable] = {}
@@ -159,10 +182,15 @@ def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:
 
     Evaluates the code's logical weight enumerator at the channel: the
     probability of all 4^n i.i.d. Pauli errors, summed per residual class.
+    The sums are correctly rounded (math.fsum), so they do not depend on the
+    order of the terms.
     """
     table = _action_table(code)
-    out = table.coeff @ np.prod(ch.as_array() ** table.exps, axis=1)
-    return PauliChannel.from_array(out / out.sum())
+    pi, px, py, pz = ([p**e for e in range(code.n + 1)] for p in ch.probs)
+    monomials = [pi[a] * px[b] * py[c] * pz[d] for a, b, c, d in table.exps]
+    out = [math.fsum(map(mul, row, monomials)) for row in table.weights]
+    total = math.fsum(out)
+    return PauliChannel(*(v / total for v in out))
 
 
 def sample_effective_channel(
@@ -200,7 +228,12 @@ def flow(
 
     Verdict is identity when the total error probability drops below tol,
     noise when the quality stops decreasing while still far from identity.
+    Raises ChannelError unless max_levels >= 0 and tol > 0.
     """
+    if not max_levels >= 0:
+        raise ChannelError(f"max_levels must be >= 0, got {max_levels}")
+    if not tol > 0:
+        raise ChannelError(f"tol must be > 0, got {tol}")
     levels = [(0, ch, ch.quality())]
     current = ch
     if current.error_probability() < tol:
@@ -285,10 +318,11 @@ def linearize(
     exact, differentiated term by term in the weight enumerator.
     """
     table = _action_table(code)
+    exps = np.array(table.exps)
     # d/dp_j prod(p ** e) = e_j * prod(p ** (e - unit_j)); e_j = 0 gives 0
-    lowered = np.maximum(table.exps - np.eye(4, dtype=int)[:, None], 0)
-    grads = table.exps.T * np.prod(fixed_channel.as_array() ** lowered, axis=-1)
-    jac4 = table.coeff @ grads.T  # [class, variable]
+    lowered = np.maximum(exps - np.eye(4, dtype=int)[:, None], 0)
+    grads = exps.T * np.prod(fixed_channel.as_array() ** lowered, axis=-1)
+    jac4 = np.array(table.coeff) @ grads.T  # [class, variable]
     jac = jac4[1:, 1:] - jac4[1:, :1]
     evals = np.linalg.eigvals(jac)
     return [
@@ -325,10 +359,15 @@ def memory_support(
 
     r* is the first concatenation level whose quality drops below epsilon;
     the supported volume is tile_size^r* * L^d.  Infinite on the identity
-    basin.
+    basin.  Raises ChannelError unless 0 < epsilon < 1, L is finite and
+    positive and d >= 1.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
+    if not (math.isfinite(L) and L > 0):
+        raise ChannelError(f"lattice spacing L must be finite and > 0, got {L}")
+    if not d >= 1:
+        raise ChannelError(f"dimension d must be >= 1, got {d}")
     traj = flow(code, ch, max_levels=max_levels)
     if traj.verdict == "converged-to-identity":
         return MemorySupport(INFINITE, None, traj.verdict)
@@ -365,18 +404,17 @@ def classify_error(
     if error.n != n_phys:
         raise ChannelError(f"error must act on {n_phys} qubits")
     table = _action_table(code)
-    # map (x, z) bit pairs to component codes 0..3 = I,X,Y,Z
-    bits_to_comp = np.array([0, 1, 3, 2], dtype=np.uint8)
-    comps = bits_to_comp[error.x_bits + 2 * error.z_bits]
+    n = code.n
+    # component digits 0..3 = I,X,Y,Z per qubit, indexed by 2x + z
+    digits = "".join(
+        "0312"[2 * (error.x >> k & 1) + (error.z >> k & 1)]
+        for k in range(n_phys - 1, -1, -1)
+    )
     records: list[LevelRecord] = []
-    pow4 = 4 ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
     for lvl in range(1, levels + 1):
-        blocks = comps.reshape(-1, code.n).astype(np.int64)
-        idx = blocks @ pow4
-        nxt = table.cls[idx]
-        records.append(
-            LevelRecord(lvl, [_LOGICAL_NAMES[c] for c in nxt])
-        )
-        comps = nxt.astype(np.uint8)
-    verdict = "correctable" if comps[0] == 0 else "fatal"
+        blocks = (digits[i : i + n] for i in range(0, len(digits), n))
+        nxt = [table.classes[int(block, 4)] for block in blocks]
+        records.append(LevelRecord(lvl, [_LOGICAL_NAMES[c] for c in nxt]))
+        digits = "".join(map(str, nxt))
+    verdict = "correctable" if digits == "0" else "fatal"
     return verdict, records

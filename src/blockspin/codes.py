@@ -18,9 +18,8 @@ from .pauli import (
     Pauli,
     PauliError,
     StabilizerGroup,
-    _pack_rows,
+    _pack,
     _rref,
-    _symplectic_rows,
     commutes,
     contains,
     gf2_rank,
@@ -61,8 +60,7 @@ class StabilizerCode:
     def validate(self) -> None:
         """Check generator independence, commutation, and logical pairing."""
         self.stabilizer.check_commuting()
-        mat = _symplectic_rows(self.stabilizer.generators, self.n)
-        if gf2_rank(mat) != self.n - self.k:
+        if gf2_rank([g.row for g in self.stabilizer.generators]) != self.n - self.k:
             raise CodeError("stabilizer generators are not independent")
         for i, (lx, lz) in enumerate(zip(self.logical_x, self.logical_z)):
             if commutes(lx, lz):
@@ -97,7 +95,7 @@ class StabilizerCode:
             raise CodeError("logical_class requires k=1")
         if any(self.syndrome(residual)):
             raise CodeError(f"{residual} carries a nonzero syndrome")
-        return "IXYZ"[_logical_class_index(self, residual.x_bits, residual.z_bits)]
+        return "IXYZ"[_logical_class_index(self, residual)]
 
     def to_json(self) -> str:
         doc = {
@@ -131,18 +129,19 @@ class StabilizerCode:
         )
 
 
-def _logical_class_index(code: StabilizerCode, x: np.ndarray, z: np.ndarray):
-    """Logical class 0..3 (I, X, Y, Z) of syndrome-free residuals of a k=1 code.
+def _logical_class_index(code: StabilizerCode, p: Pauli) -> int:
+    """Logical class 0..3 (I, X, Y, Z) of a syndrome-free residual p of a
+    k=1 code.
 
-    x and z hold the residual bits, qubits on the last axis and any leading
-    shape.  A residual is Xbar^a Zbar^b times a stabilizer, so a is its
-    symplectic pairing with Zbar and b its pairing with Xbar; a ^ 3b maps
-    (0, 0), (1, 0), (1, 1), (0, 1) to 0, 1, 2, 3.
+    A residual is Xbar^a Zbar^b times a stabilizer, so a is its symplectic
+    pairing with Zbar and b its pairing with Xbar; a ^ 3b maps (0, 0),
+    (1, 0), (1, 1), (0, 1) to 0, 1, 2, 3.  The index is linear over GF(2):
+    the index of a product is the XOR of the indices of its factors.
     """
     lx, lz = code.logical_x[0], code.logical_z[0]
-    a = (x @ lz.z_bits + z @ lz.x_bits) % 2
-    b = (x @ lx.z_bits + z @ lx.x_bits) % 2
-    return a ^ (3 * b)
+    a = ((p.x & lz.z) ^ (p.z & lz.x)).bit_count() & 1
+    b = ((p.x & lx.z) ^ (p.z & lx.x)).bit_count() & 1
+    return a ^ 3 * b
 
 
 def _supports_by_weight(n: int):
@@ -160,21 +159,15 @@ def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
     Enumerates Paulis by increasing weight (text order within a weight) and
     keeps the first representative seen for each syndrome, stopping once
     every syndrome has one.  A candidate's syndrome, packed into an int with
-    generator i at bit i, is the XOR of the syndromes of its single-qubit
-    letters; a Pauli is built only for the entries kept.
+    generator 0 at the most significant bit, is the XOR of the syndromes of
+    its single-qubit letters; a Pauli is built only for the entries kept.
     """
-    gens = code.stabilizer.generators
-    n_syn = 2 ** (code.n - code.k)
+    n, r = code.n, code.n - code.k
     # flips[q][c]: packed syndrome of the letter c on qubit q alone
     flips = [
-        {
-            c: sum(
-                ((x & int(g.z_bits[q])) ^ (z & int(g.x_bits[q]))) << i
-                for i, g in enumerate(gens)
-            )
-            for c, (x, z) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1)))
-        }
-        for q in range(code.n)
+        {c: _pack(code.syndrome(Pauli.from_string("I" * q + c + "I" * (n - 1 - q))))
+         for c in "XYZ"}
+        for q in range(n)
     ]
     leaders: dict[int, str] = {}
     for positions, letters in _supports_by_weight(code.n):
@@ -186,10 +179,10 @@ def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
             for q, c in zip(positions, letters):
                 chars[q] = c
             leaders[s] = "".join(chars)
-            if len(leaders) == n_syn:
+            if len(leaders) == 2**r:
                 break
     return {
-        tuple((s >> i) & 1 for i in range(len(gens))): Pauli.from_string(text)
+        tuple(s >> k & 1 for k in range(r - 1, -1, -1)): Pauli.from_string(text)
         for s, text in leaders.items()
     }
 
@@ -331,22 +324,20 @@ class CliffordDecoder:
         """Exact image U p U^dag, phases included."""
         if p.n != self.n:
             raise PauliError("length mismatch")
-        out = Pauli.identity(self.n)
-        rebuilt = Pauli.identity(self.n)
-        for j in range(self.n):
-            if p.x_bits[j]:
+        n = self.n
+        out = Pauli.identity(n)
+        rebuilt = Pauli.identity(n)
+        for j in range(n):
+            bit = 1 << (n - 1 - j)
+            if p.x & bit:
                 out = multiply(out, self.image_x[j])
-                rebuilt = multiply(
-                    rebuilt, Pauli(_unit(self.n, j), np.zeros(self.n, np.uint8), 0)
-                )
-            if p.z_bits[j]:
+                rebuilt = multiply(rebuilt, Pauli.packed(n, bit, 0))
+            if p.z & bit:
                 out = multiply(out, self.image_z[j])
-                rebuilt = multiply(
-                    rebuilt, Pauli(np.zeros(self.n, np.uint8), _unit(self.n, j), 0)
-                )
+                rebuilt = multiply(rebuilt, Pauli.packed(n, 0, bit))
         # p = i^delta * rebuilt; carry the residual phase over.
-        delta = (p.phase_exp - rebuilt.phase_exp) % 4
-        return Pauli(out.x_bits, out.z_bits, (out.phase_exp + delta) % 4)
+        delta = p.phase_exp - rebuilt.phase_exp
+        return Pauli.packed(n, out.x, out.z, out.phase_exp + delta)
 
     def to_matrix(self) -> np.ndarray:
         """Dense unitary (n <= 12), mapping code frame to product frame."""
@@ -355,26 +346,22 @@ class CliffordDecoder:
         return _frame_unitary(self.n, self.frame_in, self.frame_out)
 
 
-def _unit(n: int, j: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.uint8)
-    v[j] = 1
-    return v
-
-
-def _solve_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def _solve_gf2(rows: list[int], b) -> int | None:
     """One solution x of A x = b over GF(2), or None.
 
-    Takes the RREF of [A|b]: the system is inconsistent when a pivot lands in
-    the b column.  Free variables are 0 and each pivot variable is its row's
-    b bit, so the solution is fixed by the RREF.
+    The rows of A are packed ints (column 0 at the most significant bit),
+    b holds one bit per row, and x comes back packed like a row.  Takes the
+    RREF of [A|b]: the system is inconsistent when a pivot lands in the b
+    column.  Free variables are 0 and each pivot variable is its row's b
+    bit, so the solution is fixed by the RREF.  A pivot in column j of A is
+    bit ncols - j of the augmented row, so its variable is bit ncols-1-j of
+    x: one below the pivot bit.
     """
-    cols = np.shape(a)[1]
-    aug = np.column_stack([a, b]).astype(np.uint8) & 1
-    x = np.zeros(cols, dtype=np.uint8)
-    for row, _ in _rref(_pack_rows(aug), cols + 1)[0]:
+    x = 0
+    for row, _ in _rref([r << 1 | bit & 1 for r, bit in zip(rows, b)])[0]:
         if row == 1:
             return None
-        x[cols + 1 - row.bit_length()] = row & 1
+        x |= (row & 1) << (row.bit_length() - 2)
     return x
 
 
@@ -387,12 +374,11 @@ def _destabilizers(code: StabilizerCode) -> list[Pauli]:
     for i in range(len(gens)):
         ops = gens + code.logical_x + code.logical_z + found
         # [z|x] rows, so that row . [x_d|z_d] is the symplectic form with d
-        rows = np.roll(_symplectic_rows(ops, n), n, axis=1)
-        sol = _solve_gf2(rows, np.arange(len(ops)) == i)
+        rows = [p.z << n | p.x for p in ops]
+        sol = _solve_gf2(rows, [j == i for j in range(len(ops))])
         if sol is None:
             raise CodeError("destabilizer synthesis failed: inconsistent generators")
-        d = Pauli(sol[:n], sol[n:]).hermitian_phase()
-        found.append(d)
+        found.append(Pauli.packed(n, sol >> n, sol & ((1 << n) - 1)).hermitian_phase())
     return found
 
 
@@ -452,21 +438,25 @@ def synthesize_decoder(code: StabilizerCode) -> CliffordDecoder:
             for i in range(n - 1)
         ]
     )
-    basis_cols = _symplectic_rows(frame_in, n).T
+    m = len(frame_in)
+    # the matrix whose columns are the frame's [x|z] rows, row by row
+    basis_cols = [
+        _pack(f.row >> k & 1 for f in frame_in) for k in range(2 * n - 1, -1, -1)
+    ]
     images: list[Pauli] = []
     # the targets X_0..X_{n-1}, Z_0..Z_{n-1}, all with phase 0
-    for bits in np.eye(2 * n, dtype=np.uint8):
-        coeffs = _solve_gf2(basis_cols, bits)
+    for target in range(2 * n):
+        coeffs = _solve_gf2(basis_cols, [k == target for k in range(2 * n)])
         if coeffs is None:
             raise CodeError("frame does not span the Pauli group")
         rebuilt = Pauli.identity(n)
         image = Pauli.identity(n)
-        for c, pin, pout in zip(coeffs, frame_in, frame_out):
-            if c:
+        for j, (pin, pout) in enumerate(zip(frame_in, frame_out)):
+            if coeffs >> (m - 1 - j) & 1:
                 rebuilt = multiply(rebuilt, pin)
                 image = multiply(image, pout)
         images.append(
-            Pauli(image.x_bits, image.z_bits, image.phase_exp - rebuilt.phase_exp)
+            Pauli.packed(n, image.x, image.z, image.phase_exp - rebuilt.phase_exp)
         )
     return CliffordDecoder(
         n=n,
@@ -490,32 +480,26 @@ def toric_edge_index(L: int, kind: str, x: int, y: int) -> int:
     return base if kind == "h" else L * L + base
 
 
+def _edge_bits(L: int, edges) -> int:
+    """Packed bits (edge 0 most significant) of the edges, each one toggled."""
+    out = 0
+    for idx in edges:
+        out ^= 1 << (2 * L * L - 1 - idx)
+    return out
+
+
 def toric_site_generator(L: int, x: int, y: int) -> Pauli:
     """X on the 4 edges incident to vertex (x, y)."""
-    n = 2 * L * L
-    xb = np.zeros(n, dtype=np.uint8)
-    for idx in (
-        toric_edge_index(L, "h", x, y),
-        toric_edge_index(L, "h", x - 1, y),
-        toric_edge_index(L, "v", x, y),
-        toric_edge_index(L, "v", x, y - 1),
-    ):
-        xb[idx] ^= 1
-    return Pauli(xb, np.zeros(n, dtype=np.uint8), 0)
+    e = toric_edge_index
+    edges = (e(L, "h", x, y), e(L, "h", x - 1, y), e(L, "v", x, y), e(L, "v", x, y - 1))
+    return Pauli.packed(2 * L * L, _edge_bits(L, edges), 0)
 
 
 def toric_plaquette_generator(L: int, x: int, y: int) -> Pauli:
     """Z on the 4 boundary edges of the face whose lower-left vertex is (x, y)."""
-    n = 2 * L * L
-    zb = np.zeros(n, dtype=np.uint8)
-    for idx in (
-        toric_edge_index(L, "h", x, y),
-        toric_edge_index(L, "h", x, y + 1),
-        toric_edge_index(L, "v", x, y),
-        toric_edge_index(L, "v", x + 1, y),
-    ):
-        zb[idx] ^= 1
-    return Pauli(np.zeros(n, dtype=np.uint8), zb, 0)
+    e = toric_edge_index
+    edges = (e(L, "h", x, y), e(L, "h", x, y + 1), e(L, "v", x, y), e(L, "v", x + 1, y))
+    return Pauli.packed(2 * L * L, 0, _edge_bits(L, edges))
 
 
 def toric_code(L: int) -> StabilizerCode:
@@ -537,25 +521,19 @@ def toric_code(L: int) -> StabilizerCode:
         for x in range(L):
             if (x, y) != (L - 1, L - 1):
                 gens.append(toric_plaquette_generator(L, x, y))
-    zb1 = np.zeros(n, dtype=np.uint8)
-    for x in range(L):
-        zb1[toric_edge_index(L, "h", x, 0)] = 1
-    zb2 = np.zeros(n, dtype=np.uint8)
-    for y in range(L):
-        zb2[toric_edge_index(L, "v", 0, y)] = 1
-    xb1 = np.zeros(n, dtype=np.uint8)
-    for y in range(L):
-        xb1[toric_edge_index(L, "h", 0, y)] = 1
-    xb2 = np.zeros(n, dtype=np.uint8)
-    for x in range(L):
-        xb2[toric_edge_index(L, "v", x, 0)] = 1
-    zeros = np.zeros(n, dtype=np.uint8)
+
+    def row(kind: str) -> int:  # the kind's edges along y = 0
+        return _edge_bits(L, [toric_edge_index(L, kind, t, 0) for t in range(L)])
+
+    def col(kind: str) -> int:  # the kind's edges along x = 0
+        return _edge_bits(L, [toric_edge_index(L, kind, 0, t) for t in range(L)])
+
     return StabilizerCode(
         n=n,
         k=2,
         stabilizer=StabilizerGroup(n, gens),
-        logical_x=[Pauli(xb1, zeros, 0), Pauli(xb2, zeros, 0)],
-        logical_z=[Pauli(zeros, zb1, 0), Pauli(zeros, zb2, 0)],
+        logical_x=[Pauli.packed(n, col("h"), 0), Pauli.packed(n, row("v"), 0)],
+        logical_z=[Pauli.packed(n, 0, row("h")), Pauli.packed(n, 0, col("v"))],
     )
 
 

@@ -2,19 +2,23 @@
 
 A Pauli operator is stored as i^e * prod_j X_j^{x_j} Z_j^{z_j} with e mod 4,
 so Y = i*X*Z carries phase exponent 1.  All products, commutators and group
-reductions are exact, including the global phase.
+reductions are exact, including the global phase.  The X and Z bits are
+packed into two ints, so products, commutators and eliminations are int bit
+operations (the packed tableau of Aaronson & Gottesman, quant-ph/0406196).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._numpy import np
 
 _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_LETTERS = frozenset("IXYZ")
+_X_DIGITS = str.maketrans("IXYZ", "0110")  # a letter's X bit as a binary digit
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 class PauliError(ValueError):
@@ -25,36 +29,68 @@ class MinusIdentityError(ValueError):
     """Raised when -1 turns out to be a member of a purported stabilizer group."""
 
 
-@dataclass(frozen=True)
+def _pack(bits) -> int:
+    """A 0/1 sequence as an int, element 0 at the most significant bit."""
+    out = 0
+    for b in bits:
+        out = out << 1 | int(b) & 1
+    return out
+
+
+def _unpack(v: int, n: int) -> np.ndarray:
+    bits = np.array([v >> k & 1 for k in range(n - 1, -1, -1)], dtype=np.uint8)
+    bits.setflags(write=False)
+    return bits
+
+
+@dataclass(frozen=True, init=False)
 class Pauli:
-    """An n-qubit Pauli operator i^phase_exp * prod X^x Z^z."""
+    """An n-qubit Pauli operator i^phase_exp * prod X^x Z^z.
 
-    x_bits: np.ndarray
-    z_bits: np.ndarray
-    phase_exp: int = 0
+    x and z are the bits packed into ints, qubit 0 at the most significant
+    of n bits, so the symplectic row [x|z] is the int (x << n) | z (`row`).
+    Pauli(x_bits, z_bits, phase_exp) takes two equal-length 0/1 sequences,
+    Pauli.packed(n, x, z, phase_exp) the ints.  x_bits and z_bits are
+    read-only uint8 arrays, built on first access for dense code.
+    """
 
-    def __post_init__(self):
-        x = np.asarray(self.x_bits, dtype=np.uint8) & 1
-        z = np.asarray(self.z_bits, dtype=np.uint8) & 1
-        if x.shape != z.shape or x.ndim != 1:
+    n: int
+    x: int
+    z: int
+    phase_exp: int
+
+    def __init__(self, x_bits, z_bits, phase_exp: int = 0):
+        if len(x_bits) != len(z_bits):
             raise PauliError("x_bits and z_bits must be equal-length vectors")
-        object.__setattr__(self, "x_bits", x)
-        object.__setattr__(self, "z_bits", z)
-        object.__setattr__(self, "phase_exp", int(self.phase_exp) % 4)
-        self.x_bits.setflags(write=False)
-        self.z_bits.setflags(write=False)
+        x, z, e = _pack(x_bits), _pack(z_bits), int(phase_exp) % 4
+        self.__dict__.update(n=len(x_bits), x=x, z=z, phase_exp=e)
+
+    @classmethod
+    def packed(cls, n: int, x: int, z: int, phase_exp: int = 0) -> "Pauli":
+        """The Pauli with bit ints 0 <= x, z < 2^n, qubit 0 at bit n-1."""
+        p = cls.__new__(cls)
+        p.__dict__.update(n=n, x=x, z=z, phase_exp=phase_exp % 4)
+        return p
 
     @property
-    def n(self) -> int:
-        return self.x_bits.shape[0]
+    def row(self) -> int:
+        return self.x << self.n | self.z
+
+    @cached_property
+    def x_bits(self) -> np.ndarray:
+        return _unpack(self.x, self.n)
+
+    @cached_property
+    def z_bits(self) -> np.ndarray:
+        return _unpack(self.z, self.n)
 
     @property
     def weight(self) -> int:
-        return int(np.count_nonzero(self.x_bits | self.z_bits))
+        return (self.x | self.z).bit_count()
 
     @classmethod
     def identity(cls, n: int) -> "Pauli":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8), 0)
+        return cls.packed(n, 0, 0)
 
     @classmethod
     def from_string(cls, s: str) -> "Pauli":
@@ -69,49 +105,32 @@ class Pauli:
             phase, s = 2, s[1:]
         elif s.startswith("+"):
             s = s[1:]
-        if not s or any(c not in _CHAR_TO_BITS for c in s):
+        if not s or not _LETTERS.issuperset(s):
             raise PauliError(f"invalid Pauli string {s!r}")
-        x = np.array([_CHAR_TO_BITS[c][0] for c in s], dtype=np.uint8)
-        z = np.array([_CHAR_TO_BITS[c][1] for c in s], dtype=np.uint8)
+        x = int(s.translate(_X_DIGITS), 2)
+        z = int(s.translate(_Z_DIGITS), 2)
         # Each Y in the text contributes one factor of i to the stored phase.
-        n_y = int(np.count_nonzero(x & z))
-        return cls(x, z, (phase + n_y) % 4)
+        return cls.packed(len(s), x, z, phase + (x & z).bit_count())
 
     def to_string(self) -> str:
-        n_y = int(np.count_nonzero(self.x_bits & self.z_bits))
-        head = _PHASE_STR[(self.phase_exp - n_y) % 4]
-        body = "".join(
-            _BITS_TO_CHAR[(int(a), int(b))] for a, b in zip(self.x_bits, self.z_bits)
+        x, z = self.x, self.z
+        head = _PHASE_STR[(self.phase_exp - (x & z).bit_count()) % 4]
+        return head + "".join(
+            "IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in range(self.n - 1, -1, -1)
         )
-        return head + body
 
     def __str__(self) -> str:
         return self.to_string()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pauli):
-            return NotImplemented
-        return (
-            self.phase_exp == other.phase_exp
-            and np.array_equal(self.x_bits, other.x_bits)
-            and np.array_equal(self.z_bits, other.z_bits)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x_bits.tobytes(), self.z_bits.tobytes(), self.phase_exp))
-
     def equal_up_to_phase(self, other: "Pauli") -> bool:
-        return np.array_equal(self.x_bits, other.x_bits) and np.array_equal(
-            self.z_bits, other.z_bits
-        )
+        return (self.n, self.x, self.z) == (other.n, other.x, other.z)
 
     def is_identity(self) -> bool:
-        return self.phase_exp == 0 and self.weight == 0
+        return self.phase_exp == 0 and not self.x | self.z
 
     def hermitian_phase(self) -> "Pauli":
         """Same bit content with the phase that makes the operator Hermitian."""
-        w = int(np.count_nonzero(self.x_bits & self.z_bits))
-        return Pauli(self.x_bits, self.z_bits, w % 2)
+        return Pauli.packed(self.n, self.x, self.z, (self.x & self.z).bit_count() % 2)
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (n small); qubit 0 is the most significant bit."""
@@ -131,17 +150,11 @@ class Pauli:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to a dense 2^n state vector without materializing the matrix."""
-        n = self.n
-        idx = np.arange(2**n, dtype=np.int64)
-        xmask, zmask = _pack_rows(np.array([self.x_bits, self.z_bits]))
-        signs = (-1.0) ** _popcount(idx & zmask)
+        idx = np.arange(2**self.n, dtype=np.int64)
+        signs = (-1.0) ** np.array([(i & self.z).bit_count() for i in range(2**self.n)])
         out = np.empty_like(vec, dtype=complex)
-        out[idx ^ xmask] = (1j**self.phase_exp) * signs * vec
+        out[idx ^ self.x] = (1j**self.phase_exp) * signs * vec
         return out
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return np.array([bin(int(v)).count("1") for v in a], dtype=np.int64)
 
 
 def multiply(p: Pauli, q: Pauli) -> Pauli:
@@ -152,28 +165,23 @@ def multiply(p: Pauli, q: Pauli) -> Pauli:
     """
     if p.n != q.n:
         raise PauliError(f"length mismatch: {p.n} vs {q.n}")
-    sign_flips = int(np.count_nonzero(p.z_bits & q.x_bits)) % 2
-    return Pauli(
-        p.x_bits ^ q.x_bits,
-        p.z_bits ^ q.z_bits,
-        (p.phase_exp + q.phase_exp + 2 * sign_flips) % 4,
+    sign_flips = (p.z & q.x).bit_count()
+    return Pauli.packed(
+        p.n, p.x ^ q.x, p.z ^ q.z, p.phase_exp + q.phase_exp + 2 * sign_flips
     )
 
 
 def inverse(p: Pauli) -> Pauli:
     """The Pauli q with multiply(p, q) = identity (phase included)."""
-    self_overlap = int(np.count_nonzero(p.z_bits & p.x_bits)) % 2
-    return Pauli(p.x_bits, p.z_bits, (-p.phase_exp - 2 * self_overlap) % 4)
+    self_overlap = (p.z & p.x).bit_count()
+    return Pauli.packed(p.n, p.x, p.z, -p.phase_exp - 2 * self_overlap)
 
 
 def commutes(p: Pauli, q: Pauli) -> bool:
     """True iff the symplectic inner product vanishes (operators commute)."""
     if p.n != q.n:
         raise PauliError(f"length mismatch: {p.n} vs {q.n}")
-    form = int(np.count_nonzero(p.x_bits & q.z_bits)) + int(
-        np.count_nonzero(p.z_bits & q.x_bits)
-    )
-    return form % 2 == 0
+    return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
 @dataclass
@@ -199,33 +207,20 @@ class StabilizerGroup:
                     )
 
 
-def _symplectic_rows(paulis: Sequence[Pauli], n: int) -> np.ndarray:
-    """The [x|z] bit matrix of n-qubit Paulis: one row each, X columns first."""
-    rows = [np.concatenate([p.x_bits, p.z_bits]) for p in paulis]
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * n)
-
-
-def _pack_rows(mat: np.ndarray) -> list[int]:
-    """Rows of a binary matrix as ints, column 0 at the most significant bit."""
-    packed = np.packbits(mat, axis=1)
-    pad = 8 * packed.shape[1] - mat.shape[1]
-    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
-
-
 def _rref(
-    rows: list[int], ncols: int, phases: list[int] | None = None
+    rows: list[int], phases: list[int] | None = None, n: int = 0
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Reduced row echelon form over GF(2); the package's one elimination loop.
 
-    Rows are packed into ints with column j at bit ncols-1-j (see _pack_rows),
-    so a row's leading bit is its leftmost column; Pauli rows are
+    Rows are packed into ints with column 0 at the most significant bit, so
+    a row's leading bit is its leftmost column; Pauli rows are `Pauli.row`,
     [x_0..x_{n-1} | z_0..z_{n-1}], X columns before Z columns.  Column by
     column, the first remaining row holding the column is the pivot and is
     added into every other row holding it, earlier pivot rows included.
 
-    With phases, row i is the Pauli i^phases[i] X^x Z^z (ncols = 2n) and
-    adding pivot p into row q is the product p*q, whose phase follows
-    `multiply`: phase(p) + phase(q) + 2 popcount(z_p & x_q) mod 4.
+    With phases, row i is the n-qubit Pauli i^phases[i] X^x Z^z and adding
+    pivot p into row q is the product p*q, whose phase follows `multiply`:
+    phase(p) + phase(q) + 2 popcount(z_p & x_q) mod 4.
 
     Returns (basis, rest) as (row, phase) pairs: basis holds the nonzero RREF
     rows by increasing pivot column, rest the zero rows left over.  For a
@@ -234,7 +229,6 @@ def _rref(
     and when the group holds no nontrivial multiple of I its phase is fixed
     by its bits, so the phases are unique as well.
     """
-    n = ncols // 2
     zmask = (1 << n) - 1
     rest = list(zip(rows, phases or [0] * len(rows)))
     basis: list[tuple[int, int]] = []
@@ -257,8 +251,8 @@ def _rref(
 def _canonical_rows(group: StabilizerGroup) -> list[tuple[int, int]]:
     """The phased RREF of the generators; raises MinusIdentityError when a
     leftover zero row carries a nonzero phase."""
-    rows = _pack_rows(_symplectic_rows(group.generators, group.n))
-    basis, rest = _rref(rows, 2 * group.n, [g.phase_exp for g in group.generators])
+    gens = group.generators
+    basis, rest = _rref([g.row for g in gens], [g.phase_exp for g in gens], group.n)
     if any(e for _, e in rest):
         raise MinusIdentityError("group contains a nontrivial multiple of identity")
     return basis
@@ -268,20 +262,19 @@ def canonicalize(group: StabilizerGroup) -> tuple[list[Pauli], int]:
     """The reduced row echelon form of the generating set over GF(2), with
     exact phases, and its rank.
 
-    Each generator is packed into an int row [x|z], X columns before Z
-    columns, left to right, and the rows come back by increasing pivot
-    column.  The RREF of a row space is unique for this column order, and
-    so is the phase of each row when -1 is not in the group: the output
-    depends only on the group.  Raises MinusIdentityError if the reduction
-    finds a nontrivial multiple of the identity in the group.
+    Each generator's row [x|z] has its X columns before its Z columns, left
+    to right, and the rows come back by increasing pivot column.  The RREF
+    of a row space is unique for this column order, and so is the phase of
+    each row when -1 is not in the group: the output depends only on the
+    group.  Raises MinusIdentityError if the reduction finds a nontrivial
+    multiple of the identity in the group.
     """
-    n = 2 * group.n
-    nbytes = (n + 7) // 8
-    reduced = []
-    for row, phase in _canonical_rows(group):
-        raw = (row << (8 * nbytes - n)).to_bytes(nbytes, "big")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n]
-        reduced.append(Pauli(bits[: group.n], bits[group.n :], phase))
+    n = group.n
+    zmask = (1 << n) - 1
+    reduced = [
+        Pauli.packed(n, row >> n, row & zmask, phase)
+        for row, phase in _canonical_rows(group)
+    ]
     return reduced, len(reduced)
 
 
@@ -296,7 +289,7 @@ def contains(group: StabilizerGroup, p: Pauli) -> tuple[str, int]:
         raise PauliError(f"length mismatch: {p.n} vs {group.n}")
     n = group.n
     zmask = (1 << n) - 1
-    r, e = _pack_rows(_symplectic_rows([p], n))[0], p.phase_exp
+    r, e = p.row, p.phase_exp
     for g, ge in _canonical_rows(group):
         if r >> (g.bit_length() - 1) & 1:
             # r <- g^-1 r, where g^-1 = i^(-ge - 2 popcount(x_g & z_g)) g bits
@@ -334,12 +327,13 @@ def _region_entropies(
 
     For a pure state S(A) = |A| - n + rank(G|_complement) = rank(G|_A) - |A|
     (Fattal et al., quant-ph/0406168), and S(A) = S(complement), so each
-    region is restricted to the smaller of A and its complement.  On a
-    single qubit q, rank(G|_q) is the number of distinct nonzero (x_q, z_q)
-    pairs among the rows, capped at 2, which needs no elimination.
+    region is restricted to the smaller of A and its complement: the rows
+    are masked to its X and Z columns.  On a single qubit q, rank(G|_q) is
+    the number of distinct nonzero (x_q, z_q) pairs among the rows, capped
+    at 2, which needs no elimination.
     """
-    mat = _symplectic_rows(generators, n)
-    full_rank = gf2_rank(mat)
+    rows = [g.row for g in generators]
+    full_rank = gf2_rank(rows)
     if full_rank != n:
         raise ValueError(f"state is not pure: rank {full_rank} != {n}")
     out = []
@@ -350,25 +344,21 @@ def _region_entropies(
         if 2 * len(side) > n:
             inside = set(side)
             side = [q for q in range(n) if q not in inside]
+        mask = sum(1 << (2 * n - 1 - q) | 1 << (n - 1 - q) for q in side)
         if len(side) == 1:
-            pairs = set((2 * mat[:, side[0]] + mat[:, n + side[0]]).tolist())
-            rank = min(len(pairs - {0}), 2)
+            rank = min(len({r & mask for r in rows} - {0}), 2)
         else:
-            cols = side + [n + q for q in side]
-            rank = gf2_rank(mat[:, cols]) if cols else 0
+            rank = gf2_rank([r & mask for r in rows])
         out.append(rank - len(side))
     return out
 
 
-def gf2_rank(mat: np.ndarray) -> int:
+def gf2_rank(rows) -> int:
     """Rank of a binary matrix over GF(2).
 
-    Each row is packed into an int with column 0 at the most significant
-    bit, so for [x|z] Pauli rows the X columns come before the Z columns.
-    The rank is the number of nonzero rows of the RREF (_rref), which is
-    unique for a fixed column order.
+    Each row is a packed int with column 0 at the most significant bit (for
+    a Pauli, `Pauli.row`: the X columns come before the Z columns) or a 0/1
+    sequence, packed the same way.  The rank is the number of nonzero rows
+    of the RREF (_rref), which is unique for a fixed column order.
     """
-    m = np.asarray(mat, dtype=np.uint8) & 1
-    if m.ndim != 2:
-        return 0
-    return len(_rref(_pack_rows(m), m.shape[1])[0])
+    return len(_rref([r if isinstance(r, int) else _pack(r) for r in rows])[0])

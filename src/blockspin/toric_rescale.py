@@ -22,8 +22,8 @@ from .pauli import (
     Pauli,
     StabilizerGroup,
     _region_entropies,
-    _symplectic_rows,
     canonicalize,
+    commutes,
     multiply,
     stabilizer_entropy,
 )
@@ -186,13 +186,6 @@ class RescalingCheck:
     swaps_preserve_group: bool
 
 
-def _commutes_with_rows(p: Pauli, rows) -> bool:
-    """True iff p commutes with every Pauli in the [x|z] bit rows: one GF(2)
-    product for the symplectic forms x_q.z_p + z_q.x_p."""
-    n = p.n
-    return not ((rows[:, :n] @ p.z_bits + rows[:, n:] @ p.x_bits) % 2).any()
-
-
 def verify_rescaling(state: ToricState, spacing: int = 3) -> RescalingCheck:
     """Structural re-check of the rescaled generator pattern.
 
@@ -207,12 +200,8 @@ def verify_rescaling(state: ToricState, spacing: int = 3) -> RescalingCheck:
         (x, y) for y in range(0, L, spacing) for x in range(0, L, spacing)
     ]
     cells = [(x, y) for y in range(L) for x in range(L)]
-    sites = _symplectic_rows(
-        [toric_site_generator(L, x, y) for x, y in cells], state.n
-    )
-    plaquettes = _symplectic_rows(
-        [toric_plaquette_generator(L, x, y) for x, y in cells], state.n
-    )
+    sites = [toric_site_generator(L, x, y) for x, y in cells]
+    plaquettes = [toric_plaquette_generator(L, x, y) for x, y in cells]
     site_ok = True
     plaq_ok = True
     cross_ok = True
@@ -222,8 +211,8 @@ def verify_rescaling(state: ToricState, spacing: int = 3) -> RescalingCheck:
         big_plaq = rescaled_plaquette(state, (ax, ay))
         site_ok &= big_site.weight == 12
         plaq_ok &= big_plaq.weight == 12
-        cross_ok &= _commutes_with_rows(big_site, plaquettes)
-        cross_ok &= _commutes_with_rows(big_plaq, sites)
+        cross_ok &= all(commutes(big_site, p) for p in plaquettes)
+        cross_ok &= all(commutes(big_plaq, s) for s in sites)
     # one swap each way at the first anchor that uses in-set generators
     ax, ay = anchors[0]
     center_plaq = toric_plaquette_generator(L, ax, ay)
@@ -245,7 +234,7 @@ def verify_rescaling(state: ToricState, spacing: int = 3) -> RescalingCheck:
 
 def generator_support_svg(state: ToricState, anchor=(0, 0), cell: int = 30) -> str:
     """SVG of the rescaled site/plaquette supports on the edge lattice."""
-    L = state.L
+    L, n = state.L, state.n
     size = (L + 1) * cell
     big_site = rescaled_site(state, anchor)
     big_plaq = rescaled_plaquette(state, anchor)
@@ -265,9 +254,9 @@ def generator_support_svg(state: ToricState, anchor=(0, 0), cell: int = 30) -> s
             for kind in ("h", "v"):
                 idx = toric_edge_index(L, kind, x, y)
                 x1, y1, x2, y2 = edge_coords(kind, x, y)
-                if big_site.x_bits[idx]:
+                if big_site.x >> (n - 1 - idx) & 1:
                     color, w = "#d62728", 4
-                elif big_plaq.z_bits[idx]:
+                elif big_plaq.z >> (n - 1 - idx) & 1:
                     color, w = "#1f77b4", 4
                 else:
                     color, w = "#cccccc", 1

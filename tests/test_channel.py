@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,19 @@ CODE = five_qubit_code()
 DEPOLARIZING_THRESHOLD = 0.137724609375
 SHOR_DEPOLARIZING_THRESHOLD = 0.077119140625
 THRESHOLD_WIDTH = 1e-3
+# p* of the (0.01, 0.25) bracket at width 1e-9, frozen bit for bit: each
+# bisection step compares a probe's flow verdict, which float rounding in the
+# level map must not flip
+PINNED_P_STAR = {
+    ("five-qubit", "depolarizing"): 0.1376275645196438,
+    ("five-qubit", "bit-flip"): 0.1350370110571385,
+    ("steane", "depolarizing"): 0.08108189657330513,
+    ("steane", "bit-flip"): 0.06459623977541924,
+}
+# effective_channel against the exact enumerator: each term of the float
+# evaluation carries at most 8 roundings (three powers, four products), the
+# correctly rounded sums and the normalization a few more; 20 units of 2^-53
+LEVEL_MAP_RTOL = 20 * 2.0**-53
 
 BUILDERS = {"five-qubit": five_qubit_code, "steane": steane_code, "shor": shor_code}
 
@@ -68,6 +82,14 @@ class TestPauliChannel:
         assert np.allclose(d.as_array(), [0.7, 0.1, 0.1, 0.1])
         b = PauliChannel.bit_flip(0.2)
         assert np.allclose(b.as_array(), [0.8, 0.2, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_refused(self, bad, slot):
+        probs = [0.25] * 4
+        probs[slot] = bad
+        with pytest.raises(ChannelError, match="non-finite"):
+            PauliChannel(*probs)
 
     def test_normalization_enforced(self):
         with pytest.raises(ChannelError):
@@ -126,8 +148,8 @@ class TestWeightEnumerator:
         code, table, _ = _oracle_setup(name)
         n = code.n
         assert len(table.exps) == math.comb(n + 3, 3)
-        assert np.all(table.exps.sum(axis=1) == n)
-        for row, total in zip(table.exps, table.coeff.sum(axis=0)):
+        assert all(sum(row) == n for row in table.exps)
+        for row, total in zip(table.exps, map(sum, zip(*table.coeff))):
             assert total == math.factorial(n) // math.prod(map(math.factorial, row))
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -137,7 +159,7 @@ class TestWeightEnumerator:
         code, table, _ = _oracle_setup(name)
         p = ch.as_array()
         oracle = _brute_force_map(name, p)
-        poly = table.coeff @ np.prod(p**table.exps, axis=1)
+        poly = np.array(table.coeff) @ np.prod(p ** np.array(table.exps), axis=1)
         np.testing.assert_allclose(poly, oracle, rtol=0, atol=1e-13)
         np.testing.assert_allclose(
             effective_channel(code, ch).as_array(),
@@ -155,9 +177,26 @@ class TestWeightEnumerator:
     )
     def test_class_counts_by_weight(self, name, counts):
         code, table, _ = _oracle_setup(name)
-        weight = code.n - table.exps[:, 0]
+        weight = code.n - np.array(table.exps)[:, 0]
         for w, expected in counts.items():
-            assert table.coeff[:, weight == w].sum(axis=1).tolist() == expected
+            assert np.array(table.coeff)[:, weight == w].sum(axis=1).tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_level_map_matches_exact_enumerator(self, name):
+        """effective_channel against the integer enumerator evaluated in
+        exact rationals at the same float inputs, normalized exactly."""
+        code, table, _ = _oracle_setup(name)
+        rng = np.random.default_rng(17)
+        cases = [rng.dirichlet(np.ones(4)) ** 3 for _ in range(40)]
+        cases += [[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
+        for raw in cases:
+            ch = PauliChannel.from_array(np.asarray(raw) / np.sum(raw))
+            p = [Fraction(v) for v in ch.probs]
+            monomials = [math.prod(v**e for v, e in zip(p, row)) for row in table.exps]
+            exact = [sum(c * m for c, m in zip(row, monomials)) for row in table.coeff]
+            for got, want in zip(effective_channel(code, ch).probs, exact):
+                want /= sum(exact)
+                assert abs(Fraction(got) - want) <= LEVEL_MAP_RTOL * want
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_linearize_matches_central_differences(self, name):
@@ -180,6 +219,19 @@ class TestWeightEnumerator:
 
 
 class TestFlow:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"max_levels": -1}, "max_levels"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1e-12}, "tol"),
+            ({"tol": math.nan}, "tol"),
+        ],
+    )
+    def test_meaningless_parameters_refused(self, kwargs, match):
+        with pytest.raises(ChannelError, match=match):
+            flow(CODE, PauliChannel.depolarizing(0.1), **kwargs)
+
     def test_identity_input(self):
         traj = flow(CODE, PauliChannel.identity())
         assert traj.verdict == "converged-to-identity"
@@ -237,6 +289,14 @@ class TestOrderParameterAndThreshold:
         with pytest.raises(ChannelError, match="width must be > 0"):
             threshold(CODE, PauliChannel.depolarizing, 0.01, 0.3, width=width)
 
+    @pytest.mark.parametrize("pair", sorted(PINNED_P_STAR))
+    def test_pinned_thresholds_bit_identical(self, pair):
+        name, family = pair
+        code, _, _ = _oracle_setup(name)
+        ch = {"depolarizing": PauliChannel.depolarizing, "bit-flip": PauliChannel.bit_flip}
+        p = threshold(code, ch[family], 0.01, 0.25, width=1e-9)
+        assert p == PINNED_P_STAR[pair]
+
     def test_width_below_float_resolution_refused(self):
         with pytest.raises(ChannelError, match="float resolution"):
             threshold(CODE, PauliChannel.depolarizing, 0.01, 0.3, width=1e-20)
@@ -289,6 +349,20 @@ class TestMemorySupport:
         ms1 = memory_support(CODE, PauliChannel.depolarizing(0.3), 0.5, L=1, d=2)
         ms2 = memory_support(CODE, PauliChannel.depolarizing(0.3), 0.5, L=3, d=2)
         assert ms2.size == pytest.approx(9 * ms1.size)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"L": -2.0}, "lattice spacing"),
+            ({"L": 0.0}, "lattice spacing"),
+            ({"L": math.inf}, "lattice spacing"),
+            ({"L": math.nan}, "lattice spacing"),
+            ({"d": 0}, "dimension"),
+        ],
+    )
+    def test_meaningless_lattice_refused(self, kwargs, match):
+        with pytest.raises(ChannelError, match=match):
+            memory_support(CODE, PauliChannel.depolarizing(0.3), 0.5, **kwargs)
 
     def test_invalid_epsilon(self):
         with pytest.raises(ChannelError):

@@ -45,6 +45,31 @@ class TestExitCodes:
         assert run(["threshold", "--width", width, "--out", str(out)]) == 2
         assert "width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["channel-flow", "--depolarizing", "nan"], "non-finite"),
+            (["channel-flow", "--channel", "inf,0,0,0"], "non-finite"),
+            (["memory-support", "--depolarizing", "nan", "--epsilon", "0.5"], "non-finite"),
+            (["channel-flow", "--depolarizing", "0.1", "--max-levels", "-1"], "max_levels"),
+            (["channel-flow", "--depolarizing", "0.1", "--tol", "0"], "tol"),
+            (["threshold", "--max-levels", "-1"], "max_levels"),
+            (["memory-support", "--depolarizing", "0.3", "--epsilon", "0.5",
+              "--lattice-L", "-2"], "lattice spacing"),
+            (["memory-support", "--depolarizing", "0.3", "--epsilon", "0.5",
+              "--lattice-L", "inf"], "lattice spacing"),
+            (["memory-support", "--depolarizing", "0.3", "--epsilon", "0.5",
+              "--dimension", "0"], "dimension"),
+        ],
+        ids=["flow-nan", "flow-inf", "support-nan", "max-levels", "tol", "threshold-levels",
+             "negative-L", "infinite-L", "dimension"],
+    )
+    def test_meaningless_channel_input_refused(self, argv, match, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("L", ["0", "-5"])
     def test_tiling_non_positive_extent_refused(self, L, capsys):
         assert run(["tiling", "--L", L, "--out", "-"]) == 2

@@ -25,7 +25,7 @@ from blockspin.codes import (
     toric_site_generator,
     trivial_code,
 )
-from blockspin.pauli import Pauli, commutes, gf2_rank, multiply
+from blockspin.pauli import Pauli, commutes, gf2_rank, multiply, random_pauli
 
 PERFECT_GENS = ["ZZXIX", "XZZXI", "IXZZX", "XIXZZ"]
 
@@ -343,15 +343,17 @@ class TestSolveGF2:
             np.array_equal(a @ np.array(x) % 2, b)
             for x in itertools.product((0, 1), repeat=cols)
         )
-        x = _solve_gf2(a, b)
+        # rows packed with column 0 at the most significant bit, x likewise
+        x = _solve_gf2([int("".join(map(str, row)), 2) for row in a.tolist()], b.tolist())
         assert (x is not None) == solvable
         if x is not None:
-            assert np.array_equal(a @ x % 2, b)
+            bits = np.array([x >> (cols - 1 - j) & 1 for j in range(cols)], dtype=np.uint8)
+            assert np.array_equal(a @ bits % 2, b)
 
 
 def test_logical_class_index_matches_pairing_table():
-    # the (a, b) -> class table the bit arithmetic replaced, dtype included
-    table = np.array([[0, 3], [1, 2]], dtype=np.uint8)
+    # the (a, b) -> class table the bit arithmetic replaced
+    table = np.array([[0, 3], [1, 2]])
     code = five_qubit_code()
     lx, lz = code.logical_x[0], code.logical_z[0]
     residuals = [Pauli.identity(code.n), lx, multiply(lx, lz), lz]
@@ -360,9 +362,12 @@ def test_logical_class_index_matches_pairing_table():
     a = (x @ lz.z_bits + z @ lz.x_bits) % 2
     b = (x @ lx.z_bits + z @ lx.x_bits) % 2
     assert sorted(zip(a.tolist(), b.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    got = _logical_class_index(code, x, z)
-    assert got.dtype == table[a, b].dtype == np.uint8
-    assert got.tolist() == table[a, b].tolist() == [0, 1, 2, 3]
-    for p, want in zip(residuals, table[a, b]):
-        one = _logical_class_index(code, p.x_bits, p.z_bits)
-        assert type(one) is type(want) and one == want
+    got = [_logical_class_index(code, p) for p in residuals]
+    assert got == table[a, b].tolist() == [0, 1, 2, 3]
+    # linear over GF(2), which LogicalActionTable.build relies on
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        p, q = random_pauli(rng, code.n), random_pauli(rng, code.n)
+        assert _logical_class_index(code, multiply(p, q)) == (
+            _logical_class_index(code, p) ^ _logical_class_index(code, q)
+        )

@@ -1,4 +1,5 @@
-"""numpy is imported on first use: start-up and tiling work never load it.
+"""numpy is imported on first use: start-up, tiling, codes and channel work
+never load it.
 
 Each check runs in a fresh interpreter, since the test process has usually
 imported numpy already.  A module-level numpy call anywhere in the package
@@ -33,6 +34,17 @@ def fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
+# subcommands whose work is packed-int Pauli algebra and the float level map
+CHANNEL_JOBS = {
+    "code": ["code", "--code", "steane"],
+    "decode": ["decode", "--code", "shor", "--error", "IIIIYIIII"],
+    "classify": ["classify", "--code", "five-qubit", "--levels", "2", "--error", "X" + "I" * 24],
+    "channel-flow": ["channel-flow", "--code", "steane", "--bit-flip", "0.05"],
+    "threshold": ["threshold", "--code", "five-qubit", "--width", "1e-6"],
+    "memory-support": ["memory-support", "--depolarizing", "0.2", "--epsilon", "0.5"],
+    "toric": ["toric", "--L", "3"],
+}
+
 NO_NUMPY = (
     "import sys\n"
     "{setup}\n"
@@ -50,11 +62,15 @@ NO_NUMPY = (
         "assert cli.main(['tiling', '--L', '25', '--out', {out!r}]) == 0",
         "from blockspin.tiling import concatenate_tiling, plus_tiling\n"
         "assert len(concatenate_tiling(plus_tiling(25), 2).addresses) == 625",
+        *(
+            f"from blockspin import cli\nassert cli.main({argv!r} + ['--out', {{out!r}}]) == 0"
+            for argv in CHANNEL_JOBS.values()
+        ),
     ],
-    ids=["import", "import-cli", "tiling-subcommand", "concatenate"],
+    ids=["import", "import-cli", "tiling-subcommand", "concatenate", *CHANNEL_JOBS],
 )
 def test_numpy_not_loaded(setup, tmp_path):
-    setup = setup.format(out=str(tmp_path / "tiling.json"))
+    setup = setup.format(out=str(tmp_path / "artifact"))
     proc = fresh(NO_NUMPY.format(setup=setup))
     assert proc.returncode == 0, proc.stderr
 
@@ -73,12 +89,12 @@ def test_numpy_work_runs_in_a_fresh_interpreter():
     code = (
         "import sys\n"
         "from blockspin import cli\n"
-        "assert cli.main(['code', '--code', 'steane']) == 0\n"
+        "assert cli.main(['dfs', '--qubits', '3']) == 0\n"
         "assert 'numpy.linalg' in sys.modules\n"
     )
     proc = fresh(code)
     assert proc.returncode == 0, proc.stderr
-    assert '"n": 7' in proc.stdout
+    assert '"qubits": 3' in proc.stdout
 
 
 def test_missing_numpy_fails_at_import():
