@@ -93,9 +93,10 @@ class PauliChannel:
         return 1.0 - h
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogicalActionTable:
-    """Logical action of lookup recovery for one code.
+    """Logical action of lookup recovery for one code (cached on the code
+    as `StabilizerCode.action_table`).
 
     classes[e] is the residual logical class of error index e (base-4 digits
     0=I,1=X,2=Y,3=Z, first qubit most significant); `cls` is the same as a
@@ -104,7 +105,6 @@ class LogicalActionTable:
     logical weight enumerator.
     """
 
-    code: StabilizerCode
     classes: bytes
     coeff: tuple[tuple[int, ...], ...]
     exps: tuple[tuple[int, int, int, int], ...]
@@ -164,17 +164,7 @@ class LogicalActionTable:
             tuple(tally[c * b**3 + (x * b + y) * b + z] for _, x, y, z in exps)
             for c in range(4)
         )
-        return cls(code=code, classes=classes, coeff=coeff, exps=exps)
-
-
-_table_cache: dict[int, LogicalActionTable] = {}
-
-
-def _action_table(code: StabilizerCode) -> LogicalActionTable:
-    key = id(code)
-    if key not in _table_cache:
-        _table_cache[key] = LogicalActionTable.build(code)
-    return _table_cache[key]
+        return cls(classes=classes, coeff=coeff, exps=exps)
 
 
 def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:
@@ -185,7 +175,7 @@ def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:
     The sums are correctly rounded (math.fsum), so they do not depend on the
     order of the terms.
     """
-    table = _action_table(code)
+    table = code.action_table
     pi, px, py, pz = ([p**e for e in range(code.n + 1)] for p in ch.probs)
     monomials = [pi[a] * px[b] * py[c] * pz[d] for a, b, c, d in table.exps]
     out = [math.fsum(map(mul, row, monomials)) for row in table.weights]
@@ -197,7 +187,7 @@ def sample_effective_channel(
     code: StabilizerCode, ch: PauliChannel, n_samples: int, seed: int = 0
 ) -> np.ndarray:
     """Monte Carlo estimate of the logical class distribution (cross-check)."""
-    table = _action_table(code)
+    table = code.action_table
     rng = np.random.default_rng(seed)
     draws = rng.choice(4, size=(n_samples, code.n), p=ch.as_array())
     pow4 = 4 ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
@@ -317,7 +307,7 @@ def linearize(
     Jacobian J[i, j] = dF_i/dp_j - dF_i/dp_I of the unnormalized map F is
     exact, differentiated term by term in the weight enumerator.
     """
-    table = _action_table(code)
+    table = code.action_table
     exps = np.array(table.exps)
     # d/dp_j prod(p ** e) = e_j * prod(p ** (e - unit_j)); e_j = 0 gives 0
     lowered = np.maximum(exps - np.eye(4, dtype=int)[:, None], 0)
@@ -376,9 +366,8 @@ def memory_support(
     for r, _, q in traj.levels:
         if q < epsilon:
             return MemorySupport(float(code.n**r * L**d), r, traj.verdict)
-    # quality stalled above epsilon without reaching it: keep iterating the
-    # stalled value is the noise fixed point, which is below any epsilon < 1
-    # for a strictly noisy attractor; if not reached, report the last level.
+    # the quality stalled at or above epsilon, so further levels would not
+    # drop below it either: report the last level of the flow
     r_last = traj.levels[-1][0]
     return MemorySupport(float(code.n**r_last * L**d), r_last, traj.verdict)
 
@@ -403,7 +392,7 @@ def classify_error(
     n_phys = code.n**levels
     if error.n != n_phys:
         raise ChannelError(f"error must act on {n_phys} qubits")
-    table = _action_table(code)
+    table = code.action_table
     n = code.n
     # component digits 0..3 = I,X,Y,Z per qubit, indexed by 2x + z
     digits = "".join(

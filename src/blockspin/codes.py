@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 
 from ._numpy import np
 
@@ -33,29 +36,41 @@ class CodeError(ValueError):
     """Raised on inconsistent code definitions or unsupported queries."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilizerCode:
     """An [[n, k]] stabilizer code with logical operators and recovery table.
 
     recovery_table maps syndrome bit tuples to correction Paulis; it always
     contains the zero syndrome -> identity, and is complete only when the
     syndrome space is small enough to tabulate (see build_recovery_table).
+    The code is frozen and the table a read-only copy, so the cached
+    action_table stays this code's; derive variants with dataclasses.replace.
     """
 
     n: int
     k: int
     stabilizer: StabilizerGroup
-    logical_x: list[Pauli]
-    logical_z: list[Pauli]
-    recovery_table: dict[tuple[int, ...], Pauli] = field(default_factory=dict)
+    logical_x: tuple[Pauli, ...]
+    logical_z: tuple[Pauli, ...]
+    recovery_table: Mapping[tuple[int, ...], Pauli] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.stabilizer.generators) != self.n - self.k:
             raise CodeError("expected n-k independent stabilizer generators")
-        if not self.recovery_table:
-            self.recovery_table = {
-                (0,) * (self.n - self.k): Pauli.identity(self.n)
-            }
+        table = dict(self.recovery_table) or {
+            (0,) * (self.n - self.k): Pauli.identity(self.n)
+        }
+        object.__setattr__(self, "logical_x", tuple(self.logical_x))
+        object.__setattr__(self, "logical_z", tuple(self.logical_z))
+        object.__setattr__(self, "recovery_table", MappingProxyType(table))
+
+    @cached_property
+    def action_table(self):
+        """The logical action of lookup recovery (channel.LogicalActionTable),
+        built on first use."""
+        from . import channel  # channel imports this module
+
+        return channel.LogicalActionTable.build(self)
 
     def validate(self) -> None:
         """Check generator independence, commutation, and logical pairing."""
@@ -187,18 +202,23 @@ def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
     }
 
 
+def _small_code(checks: tuple[str, ...]) -> StabilizerCode:
+    """The k=1 code of the check strings, with transversal X^n / Z^n
+    logicals and its minimum-weight recovery table."""
+    n = len(checks[0])
+    code = StabilizerCode(
+        n=n,
+        k=1,
+        stabilizer=StabilizerGroup(n, [Pauli.from_string(s) for s in checks]),
+        logical_x=[Pauli.from_string("X" * n)],
+        logical_z=[Pauli.from_string("Z" * n)],
+    )
+    return replace(code, recovery_table=build_recovery_table(code))
+
+
 def five_qubit_code() -> StabilizerCode:
     """The [[5,1,3]] perfect code with its standard check operators."""
-    gens = [Pauli.from_string(s) for s in ("ZZXIX", "XZZXI", "IXZZX", "XIXZZ")]
-    code = StabilizerCode(
-        n=5,
-        k=1,
-        stabilizer=StabilizerGroup(5, gens),
-        logical_x=[Pauli.from_string("XXXXX")],
-        logical_z=[Pauli.from_string("ZZZZZ")],
-    )
-    code.recovery_table = build_recovery_table(code)
-    return code
+    return _small_code(("ZZXIX", "XZZXI", "IXZZX", "XIXZZ"))
 
 
 def trivial_code() -> StabilizerCode:
@@ -214,46 +234,17 @@ def trivial_code() -> StabilizerCode:
 
 def steane_code() -> StabilizerCode:
     """The [[7,1,3]] CSS code (optional constructor, same interface)."""
-    strings = [
-        "IIIXXXX",
-        "IXXIIXX",
-        "XIXIXIX",
-        "IIIZZZZ",
-        "IZZIIZZ",
-        "ZIZIZIZ",
-    ]
-    code = StabilizerCode(
-        n=7,
-        k=1,
-        stabilizer=StabilizerGroup(7, [Pauli.from_string(s) for s in strings]),
-        logical_x=[Pauli.from_string("XXXXXXX")],
-        logical_z=[Pauli.from_string("ZZZZZZZ")],
+    return _small_code(
+        ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
     )
-    code.recovery_table = build_recovery_table(code)
-    return code
 
 
 def shor_code() -> StabilizerCode:
     """The [[9,1,3]] code (optional constructor, same interface)."""
-    strings = [
-        "ZZIIIIIII",
-        "IZZIIIIII",
-        "IIIZZIIII",
-        "IIIIZZIII",
-        "IIIIIIZZI",
-        "IIIIIIIZZ",
-        "XXXXXXIII",
-        "IIIXXXXXX",
-    ]
-    code = StabilizerCode(
-        n=9,
-        k=1,
-        stabilizer=StabilizerGroup(9, [Pauli.from_string(s) for s in strings]),
-        logical_x=[Pauli.from_string("XXXXXXXXX")],
-        logical_z=[Pauli.from_string("ZZZZZZZZZ")],
-    )
-    code.recovery_table = build_recovery_table(code)
-    return code
+    return _small_code((
+        "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+        "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX",
+    ))
 
 
 def encode_zero(code: StabilizerCode) -> np.ndarray:
@@ -269,7 +260,7 @@ def encode_zero(code: StabilizerCode) -> np.ndarray:
         raise CodeError("encode_zero requires k=1")
     vec = np.zeros(2**code.n, dtype=complex)
     vec[0] = 1.0
-    for g in code.stabilizer.generators + [code.logical_z[0]]:
+    for g in (*code.stabilizer.generators, code.logical_z[0]):
         vec = 0.5 * (vec + g.apply(vec))
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
@@ -372,7 +363,7 @@ def _destabilizers(code: StabilizerCode) -> list[Pauli]:
     gens = code.stabilizer.generators
     found: list[Pauli] = []
     for i in range(len(gens)):
-        ops = gens + code.logical_x + code.logical_z + found
+        ops = [*gens, *code.logical_x, *code.logical_z, *found]
         # [z|x] rows, so that row . [x_d|z_d] is the symplectic form with d
         rows = [p.z << n | p.x for p in ops]
         sol = _solve_gf2(rows, [j == i for j in range(len(ops))])
@@ -426,7 +417,7 @@ def synthesize_decoder(code: StabilizerCode) -> CliffordDecoder:
     n = code.n
     gens = code.stabilizer.generators
     dests = _destabilizers(code)
-    frame_in = [code.logical_x[0], code.logical_z[0]] + gens + dests
+    frame_in = [code.logical_x[0], code.logical_z[0], *gens, *dests]
     frame_out = (
         [Pauli.from_string("X" + "I" * (n - 1)), Pauli.from_string("Z" + "I" * (n - 1))]
         + [

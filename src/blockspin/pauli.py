@@ -9,7 +9,7 @@ operations (the packed tableau of Aaronson & Gottesman, quant-ph/0406196).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -184,14 +184,19 @@ def commutes(p: Pauli, q: Pauli) -> bool:
     return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilizerGroup:
-    """A group of commuting Paulis given by an ordered generating set."""
+    """A group of commuting Paulis given by an ordered generating set.
+
+    Frozen, with the generators as a tuple (any iterable is accepted), so
+    the canonical rows cached on first use stay those of the group.
+    """
 
     n: int
-    generators: list[Pauli] = field(default_factory=list)
+    generators: tuple[Pauli, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
         for g in self.generators:
             if g.n != self.n:
                 raise PauliError("generator length does not match group size")
@@ -205,6 +210,17 @@ class StabilizerGroup:
                         f"generators {i} and {j} anticommute: "
                         f"{gens[i]} vs {gens[j]}"
                     )
+
+    @cached_property
+    def canonical_rows(self) -> tuple[tuple[int, int], ...]:
+        """The phased RREF (_rref) of the generators as (row, phase) pairs;
+        raises MinusIdentityError when a leftover zero row carries a nonzero
+        phase."""
+        gens = self.generators
+        basis, rest = _rref([g.row for g in gens], [g.phase_exp for g in gens], self.n)
+        if any(e for _, e in rest):
+            raise MinusIdentityError("group contains a nontrivial multiple of identity")
+        return tuple(basis)
 
 
 def _rref(
@@ -248,16 +264,6 @@ def _rref(
     return basis, rest
 
 
-def _canonical_rows(group: StabilizerGroup) -> list[tuple[int, int]]:
-    """The phased RREF of the generators; raises MinusIdentityError when a
-    leftover zero row carries a nonzero phase."""
-    gens = group.generators
-    basis, rest = _rref([g.row for g in gens], [g.phase_exp for g in gens], group.n)
-    if any(e for _, e in rest):
-        raise MinusIdentityError("group contains a nontrivial multiple of identity")
-    return basis
-
-
 def canonicalize(group: StabilizerGroup) -> tuple[list[Pauli], int]:
     """The reduced row echelon form of the generating set over GF(2), with
     exact phases, and its rank.
@@ -267,13 +273,14 @@ def canonicalize(group: StabilizerGroup) -> tuple[list[Pauli], int]:
     of a row space is unique for this column order, and so is the phase of
     each row when -1 is not in the group: the output depends only on the
     group.  Raises MinusIdentityError if the reduction finds a nontrivial
-    multiple of the identity in the group.
+    multiple of the identity in the group.  The elimination runs once per
+    group: its rows are cached as `StabilizerGroup.canonical_rows`.
     """
     n = group.n
     zmask = (1 << n) - 1
     reduced = [
         Pauli.packed(n, row >> n, row & zmask, phase)
-        for row, phase in _canonical_rows(group)
+        for row, phase in group.canonical_rows
     ]
     return reduced, len(reduced)
 
@@ -290,7 +297,7 @@ def contains(group: StabilizerGroup, p: Pauli) -> tuple[str, int]:
     n = group.n
     zmask = (1 << n) - 1
     r, e = p.row, p.phase_exp
-    for g, ge in _canonical_rows(group):
+    for g, ge in group.canonical_rows:
         if r >> (g.bit_length() - 1) & 1:
             # r <- g^-1 r, where g^-1 = i^(-ge - 2 popcount(x_g & z_g)) g bits
             inv = -ge - 2 * (g & zmask & (g >> n)).bit_count()

@@ -58,15 +58,20 @@ class Tiling:
 def _build_assignment(
     L: int, offsets, centers
 ) -> dict[tuple[int, int], tuple[int, int]]:
+    """Site -> (tile index, position from 1) of the tiles placed at the
+    centers; raises TilingError naming the first overlapped or missed site."""
     assignment: dict[tuple[int, int], tuple[int, int]] = {}
     for tid, (cx, cy) in enumerate(centers):
         for pos, (dx, dy) in enumerate(offsets, start=1):
             site = ((cx + dx) % L, (cy + dy) % L)
             if site in assignment:
-                raise TilingError(f"overlap at {site}")
+                raise TilingError(f"overlap at site {site}")
             assignment[site] = (tid, pos)
     if len(assignment) != L * L:
-        raise TilingError("cover has gaps")
+        missing = next(
+            (x, y) for y in range(L) for x in range(L) if (x, y) not in assignment
+        )
+        raise TilingError(f"gap at site {missing}")
     return assignment
 
 
@@ -149,18 +154,7 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     rotation is the representative in (-pi/4, pi/4].
     """
     L = t.L
-    expected: dict[tuple[int, int], tuple[int, int]] = {}
-    for tid, (cx, cy) in enumerate(t.centers):
-        for pos, (dx, dy) in enumerate(t.tile_shape, start=1):
-            site = ((cx + dx) % L, (cy + dy) % L)
-            if site in expected:
-                raise TilingError(f"overlap at site {site}")
-            expected[site] = (tid, pos)
-    if len(expected) != L * L:
-        missing = next(
-            (x, y) for y in range(L) for x in range(L) if (x, y) not in expected
-        )
-        raise TilingError(f"gap at site {missing}")
+    expected = _build_assignment(L, t.tile_shape, t.centers)
     if t.assignment != expected:
         bad = next(s for s in expected if t.assignment.get(s) != expected[s])
         raise TilingError(f"assignment does not cover site {bad} consistently")

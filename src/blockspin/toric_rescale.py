@@ -22,7 +22,6 @@ from .pauli import (
     Pauli,
     StabilizerGroup,
     _region_entropies,
-    canonicalize,
     commutes,
     multiply,
     stabilizer_entropy,
@@ -33,18 +32,19 @@ class ToricError(ValueError):
     """Raised on unsupported torus sizes or invalid generator surgery."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToricState:
     """Pure stabilizer state: toric code stabilizer plus the two Z loops
-    fixing the logical sector (rank 2L^2)."""
+    fixing the logical sector (rank 2L^2).  Frozen, so the group and its
+    cached canonical rows stay the state's."""
 
     L: int
     group: StabilizerGroup = field(init=False)
 
     def __post_init__(self):
         code = toric_code(self.L)
-        gens = list(code.stabilizer.generators) + list(code.logical_z)
-        self.group = StabilizerGroup(code.n, gens)
+        gens = code.stabilizer.generators + code.logical_z
+        object.__setattr__(self, "group", StabilizerGroup(code.n, gens))
 
     @property
     def n(self) -> int:
@@ -82,19 +82,18 @@ def swap_generating_set(
     state: ToricState, drop: Pauli, add: Pauli
 ) -> StabilizerGroup:
     """Replace `drop` by `add` in the generating set, provided the group is
-    unchanged (i.e. `add` is a product of generators involving `drop`)."""
+    unchanged (i.e. `add` is a product of generators involving `drop`).
+    The two groups are equal iff their canonical rows are."""
     gens = state.group.generators
     if drop not in gens:
         raise ToricError("drop operator is not one of the current generators")
-    new_gens = [add if g == drop else g for g in gens]
-    old_canon, old_rank = canonicalize(state.group)
-    new_canon, new_rank = canonicalize(StabilizerGroup(state.n, new_gens))
-    if old_canon != new_canon or old_rank != new_rank:
+    swapped = StabilizerGroup(state.n, [add if g == drop else g for g in gens])
+    if swapped.canonical_rows != state.group.canonical_rows:
         raise ToricError(
             "swap changes the group: the added operator is independent of "
             "the dropped one"
         )
-    return StabilizerGroup(state.n, new_gens)
+    return swapped
 
 
 def block_entropy(state: ToricState, region) -> int:
@@ -220,9 +219,7 @@ def verify_rescaling(state: ToricState, spacing: int = 3) -> RescalingCheck:
     if center_plaq in state.group.generators:
         swapped = swap_generating_set(state, center_plaq, big_plaq)
         back = [center_plaq if g == big_plaq else g for g in swapped.generators]
-        swaps_ok &= canonicalize(StabilizerGroup(state.n, back))[0] == canonicalize(
-            state.group
-        )[0]
+        swaps_ok &= tuple(back) == state.group.generators
     return RescalingCheck(
         anchors_checked=len(anchors),
         site_weights_ok=bool(site_ok),

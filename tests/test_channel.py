@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -22,7 +23,7 @@ from blockspin.channel import (
     threshold,
 )
 from blockspin.codes import five_qubit_code, shor_code, steane_code
-from blockspin.pauli import Pauli, random_pauli
+from blockspin.pauli import Pauli, multiply, random_pauli
 
 CODE = five_qubit_code()
 
@@ -45,6 +46,12 @@ PINNED_P_STAR = {
 LEVEL_MAP_RTOL = 20 * 2.0**-53
 
 BUILDERS = {"five-qubit": five_qubit_code, "steane": steane_code, "shor": shor_code}
+# effective_channel against sample_effective_channel: each class frequency
+# lies within MC_SIGMAS binomial standard deviations of the exact value, the
+# variance floored at that of one count so that classes of probability ~0
+# may still be hit once or twice
+MC_SIGMAS = 5
+MC_SAMPLES = 20_000
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,6 +147,36 @@ class TestEffectiveChannel:
         mc = sample_effective_channel(CODE, ch, n, seed=7)
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(mc - exact) <= 4 * sigma + 1e-12)
+
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @given(ch=channels())
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_monte_carlo_band(self, name, ch):
+        code = _oracle_setup(name)[0]
+        exact = np.array(effective_channel(code, ch).probs)
+        mc = sample_effective_channel(code, ch, MC_SAMPLES, seed=3)
+        var = np.maximum(exact * (1 - exact), 1 / MC_SAMPLES) / MC_SAMPLES
+        assert np.all(np.abs(mc - exact) <= MC_SIGMAS * np.sqrt(var))
+
+    def test_recovery_variant_gets_its_own_channel(self):
+        # a code derived with another recovery gets its own action table,
+        # not a stale one, and the original keeps its channel
+        code = five_qubit_code()
+        ch = PauliChannel.depolarizing(0.1)
+        before = effective_channel(code, ch)
+        table = dict(code.recovery_table)
+        s = (0, 0, 0, 1)
+        table[s] = multiply(code.logical_x[0], table[s])
+        variant = dataclasses.replace(code, recovery_table=table)
+        fresh = LogicalActionTable.build(variant)
+        assert variant.action_table == fresh
+        p = ch.as_array()
+        poly = np.array(fresh.coeff) @ np.prod(p ** np.array(fresh.exps), axis=1)
+        got = effective_channel(variant, ch).as_array()
+        np.testing.assert_allclose(got, poly / poly.sum(), rtol=0, atol=1e-15)
+        assert np.abs(got - before.as_array()).max() > 0.01
+        assert effective_channel(code, ch) == before
 
 
 class TestWeightEnumerator:

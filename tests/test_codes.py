@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -371,3 +372,38 @@ def test_logical_class_index_matches_pairing_table():
         assert _logical_class_index(code, multiply(p, q)) == (
             _logical_class_index(code, p) ^ _logical_class_index(code, q)
         )
+
+
+class TestFrozenCode:
+    def test_assignment_refused(self):
+        code = five_qubit_code()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            code.recovery_table = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            code.logical_x = (Pauli.from_string("YYYYY"),)
+
+    def test_recovery_table_read_only(self):
+        code = five_qubit_code()
+        with pytest.raises(TypeError):
+            code.recovery_table[(0, 0, 0, 0)] = Pauli.from_string("XIIII")
+
+    def test_caller_dict_copied(self):
+        code = five_qubit_code()
+        table = dict(code.recovery_table)
+        variant = dataclasses.replace(code, recovery_table=table)
+        table[(0, 0, 0, 0)] = Pauli.from_string("XIIII")
+        del table[(0, 0, 0, 1)]
+        assert variant.recovery_table == code.recovery_table
+        assert variant.recovery_table[(0, 0, 0, 0)] == Pauli.identity(5)
+
+    def test_logicals_are_tuples(self):
+        clone = StabilizerCode.from_json(five_qubit_code().to_json())
+        assert clone.logical_x == (Pauli.from_string("XXXXX"),)
+        assert clone.logical_z == (Pauli.from_string("ZZZZZ"),)
+
+    def test_action_table_cached_per_code(self):
+        code = five_qubit_code()
+        assert code.action_table is code.action_table
+        variant = dataclasses.replace(code)
+        assert variant.action_table is not code.action_table
+        assert variant.action_table == code.action_table

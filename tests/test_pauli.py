@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from blockspin import pauli
 from blockspin.pauli import (
     MinusIdentityError,
     Pauli,
@@ -322,3 +324,33 @@ class TestApply:
             p = random_pauli(rng, 4)
             v = rng.normal(size=16) + 1j * rng.normal(size=16)
             assert np.allclose(p.apply(v), p.to_matrix() @ v)
+
+
+class TestFrozenGroup:
+    def test_assignment_refused(self):
+        g = StabilizerGroup(5, FIVE_QUBIT_GENS_P())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.generators = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n = 4
+
+    def test_generators_copied_into_a_tuple(self):
+        gens = FIVE_QUBIT_GENS_P()
+        g = StabilizerGroup(5, gens)
+        gens.pop()
+        assert g.generators == tuple(FIVE_QUBIT_GENS_P())
+
+    def test_one_elimination_per_group(self, monkeypatch):
+        calls = []
+        real = pauli._rref
+        monkeypatch.setattr(
+            pauli, "_rref", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        g = StabilizerGroup(5, FIVE_QUBIT_GENS_P())
+        reduced, rank = canonicalize(g)
+        for s in FIVE_QUBIT_GENS[:3] + ["XXXXX", "-ZZXIX", "ZIIII"] * 2 + ["IIIII"]:
+            contains(g, Pauli.from_string(s))
+        assert rank == 4 and len(calls) == 1
+        # a second group, even an equal one, does its own elimination
+        assert canonicalize(StabilizerGroup(5, FIVE_QUBIT_GENS_P()))[0] == reduced
+        assert len(calls) == 2

@@ -165,6 +165,19 @@ class TestValidator:
         with pytest.raises(TilingError, match="cover"):
             validate_tiling(bad)
 
+    def test_names_missing_and_doubled_site(self):
+        t = plus_tiling(5, +1)
+        assert t.centers[0] == (0, 0)
+        for centers, message in [
+            (t.centers[1:], r"gap at site \(0, 0\)"),
+            (t.centers + t.centers[:1], r"overlap at site \(\d+, \d+\)"),
+        ]:
+            bad = Tiling(
+                t.L, t.tile_shape, centers, t.assignment, t.rescale, t.rotation, "bad"
+            )
+            with pytest.raises(TilingError, match=message):
+                validate_tiling(bad)
+
     def test_rejects_non_similar_sublattice(self):
         # 2x1 dominoes with column-stripe centers: exact cover, but the
         # center lattice is not a rotated-and-scaled copy of Z^2

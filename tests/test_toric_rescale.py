@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,19 @@ class TestRescaledGenerators:
         b = rescaled_site(STATE, (1, 2))
         assert a.weight == b.weight
         assert a != b
+
+
+class TestFrozenState:
+    def test_assignment_refused(self):
+        state = ToricState(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.L = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.group = STATE.group
+
+    def test_invalid_size_refused_at_once(self):
+        with pytest.raises(ValueError):
+            ToricState(1)
 
 
 class TestSwap:
@@ -191,6 +206,21 @@ class TestScanOracle:
 
 
 class TestVerifyRescaling:
+    def test_two_eliminations_of_the_full_group(self, monkeypatch):
+        # one for the state's group and one for the swapped group; the
+        # swap-back compares generator lists and needs none
+        state = ToricState(L)
+        sizes = []
+        real = pauli._rref
+        monkeypatch.setattr(
+            pauli, "_rref", lambda rows, *a: sizes.append(len(rows)) or real(rows, *a)
+        )
+        assert verify_rescaling(state).swaps_preserve_group
+        assert sizes.count(state.n) <= 2
+        # the state's canonical rows are cached: a second check adds one
+        verify_rescaling(state)
+        assert sizes.count(state.n) <= 3
+
     def test_structural_check(self):
         check = verify_rescaling(STATE)
         assert check.site_weights_ok
