@@ -12,59 +12,29 @@ import argparse
 import json
 import sys
 
-from ._numpy import np
-
 from . import __version__
-from .channel import (
-    ChannelError,
-    IndeterminateFlowError,
-    PauliChannel,
-    classify_error,
-    flow,
-    memory_support,
-    threshold,
-)
-from .codes import (
-    CodeError,
-    StabilizerCode,
-    five_qubit_code,
-    shor_code,
-    steane_code,
-    toric_code,
-)
-from .dfs import (
-    block_diagonal_residual,
-    collective_noise_generators,
-    decompose,
-    find_noiseless,
-)
-from .logistic import (
-    LogisticParams,
-    bifurcation_scan,
-    detect_cycle,
-    map_orbit,
-    ode_solution,
-)
-from .pauli import Pauli
-from .tiling import (
-    brick_tiling,
-    plus_tiling,
-    render_svg,
-    trivial_tiling,
-    validate_tiling,
-)
-from .toric_rescale import (
-    ToricState,
-    cardinality_scan,
-    generator_support_svg,
-    rescaled_plaquette,
-    rescaled_site,
-    verify_rescaling,
-)
+from ._lazy import lazy_import
+
+# each layer runs its module code on first use, so a subcommand loads only
+# the layers it calls
+channel = lazy_import("blockspin.channel")
+codes = lazy_import("blockspin.codes")
+dfs = lazy_import("blockspin.dfs")
+logistic = lazy_import("blockspin.logistic")
+pauli = lazy_import("blockspin.pauli")
+tiling = lazy_import("blockspin.tiling")
+toric_rescale = lazy_import("blockspin.toric_rescale")
 
 SCHEMA_VERSION = 1
-# every package error but IndeterminateFlowError is a ValueError
-DOMAIN_ERRORS = (ValueError, IndeterminateFlowError)
+
+
+def __getattr__(name: str):
+    # DOMAIN_ERRORS is built on access, since naming channel's error class at
+    # import would load channel for every subcommand
+    if name == "DOMAIN_ERRORS":
+        # every package error but IndeterminateFlowError is a ValueError
+        return (ValueError, channel.IndeterminateFlowError)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _meta(args: argparse.Namespace, seed: int | None = None) -> dict:
@@ -102,6 +72,16 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """`numpy.linspace(lo, hi, count)` by numpy's formula, as plain floats."""
+    if count < 0:
+        raise ValueError(f"Number of samples, {count}, must be non-negative.")
+    if count < 2:
+        return [lo] * count
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count - 1)] + [hi]
+
+
 def _status(line: str) -> None:
     print(line, file=sys.stderr)
 
@@ -113,30 +93,30 @@ def _json_doc(args, payload: dict, seed: int | None = None) -> str:
     )
 
 
-def _get_code(name: str, L: int) -> StabilizerCode:
+def _get_code(name: str, L: int) -> codes.StabilizerCode:
     builders = {
-        "five-qubit": five_qubit_code,
-        "steane": steane_code,
-        "shor": shor_code,
+        "five-qubit": codes.five_qubit_code,
+        "steane": codes.steane_code,
+        "shor": codes.shor_code,
     }
     if name == "toric":
-        return toric_code(L)
+        return codes.toric_code(L)
     if name not in builders:
-        raise CodeError(f"unknown code {name!r}")
+        raise codes.CodeError(f"unknown code {name!r}")
     return builders[name]()
 
 
-def _get_channel(args) -> PauliChannel:
+def _get_channel(args) -> channel.PauliChannel:
     if args.channel is not None:
         parts = [float(x) for x in args.channel.split(",")]
         if len(parts) != 4:
-            raise ChannelError("--channel needs pI,pX,pY,pZ")
-        return PauliChannel(*parts)
+            raise channel.ChannelError("--channel needs pI,pX,pY,pZ")
+        return channel.PauliChannel(*parts)
     if args.depolarizing is not None:
-        return PauliChannel.depolarizing(args.depolarizing)
+        return channel.PauliChannel.depolarizing(args.depolarizing)
     if getattr(args, "bit_flip", None) is not None:
-        return PauliChannel.bit_flip(args.bit_flip)
-    raise ChannelError("specify --depolarizing, --bit-flip, or --channel")
+        return channel.PauliChannel.bit_flip(args.bit_flip)
+    raise channel.ChannelError("specify --depolarizing, --bit-flip, or --channel")
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +133,7 @@ def cmd_code(args) -> int:
 
 def cmd_decode(args) -> int:
     code = _get_code(args.code, args.L)
-    err = Pauli.from_string(args.error)
+    err = pauli.Pauli.from_string(args.error)
     syndrome = code.syndrome(err)
     residual = code.recover(err)
     cls = code.logical_class(residual) if code.k == 1 else None
@@ -171,7 +151,7 @@ def cmd_decode(args) -> int:
 def cmd_channel_flow(args) -> int:
     code = _get_code(args.code, args.L)
     ch = _get_channel(args)
-    traj = flow(code, ch, max_levels=args.max_levels, tol=args.tol)
+    traj = channel.flow(code, ch, max_levels=args.max_levels, tol=args.tol)
     lines = [_csv_header(args).rstrip("\n")]
     lines.append("r,p_I,p_X,p_Y,p_Z,q_r")
     for r, c, q in traj.levels:
@@ -187,10 +167,10 @@ def cmd_channel_flow(args) -> int:
 def cmd_threshold(args) -> int:
     code = _get_code(args.code, args.L)
     family = {
-        "depolarizing": PauliChannel.depolarizing,
-        "bit-flip": PauliChannel.bit_flip,
+        "depolarizing": channel.PauliChannel.depolarizing,
+        "bit-flip": channel.PauliChannel.bit_flip,
     }[args.family]
-    p_star = threshold(
+    p_star = channel.threshold(
         code, family, args.lo, args.hi, width=args.width, max_levels=args.max_levels
     )
     payload = {
@@ -207,7 +187,7 @@ def cmd_threshold(args) -> int:
 def cmd_memory_support(args) -> int:
     code = _get_code(args.code, args.L)
     ch = _get_channel(args)
-    ms = memory_support(
+    ms = channel.memory_support(
         code, ch, args.epsilon, L=args.lattice_L, d=args.dimension
     )
     payload = {
@@ -223,8 +203,8 @@ def cmd_memory_support(args) -> int:
 
 def cmd_classify(args) -> int:
     code = _get_code(args.code, args.L)
-    err = Pauli.from_string(args.error)
-    verdict, records = classify_error(code, args.levels, err)
+    err = pauli.Pauli.from_string(args.error)
+    verdict, records = channel.classify_error(code, args.levels, err)
     payload = {
         "levels": args.levels,
         "verdict": verdict,
@@ -239,14 +219,14 @@ def cmd_classify(args) -> int:
 
 def cmd_tiling(args) -> int:
     if args.kind == "plus":
-        t = plus_tiling(args.L, +1 if args.hand == "right" else -1)
+        t = tiling.plus_tiling(args.L, +1 if args.hand == "right" else -1)
     elif args.kind == "brick":
-        t = brick_tiling(args.L)
+        t = tiling.brick_tiling(args.L)
     else:
-        t = trivial_tiling(args.L)
-    ok, rescale, rotation = validate_tiling(t)
+        t = tiling.trivial_tiling(args.L)
+    ok, rescale, rotation = tiling.validate_tiling(t)
     if args.svg:
-        _write(args.svg, render_svg(t))
+        _write(args.svg, tiling.render_svg(t))
     payload = {
         "tiling": t.name,
         "L": t.L,
@@ -264,11 +244,11 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_toric(args) -> int:
-    state = ToricState(args.L)
-    big_site = rescaled_site(state, (0, 0))
-    big_plaq = rescaled_plaquette(state, (0, 0))
-    scan = cardinality_scan(state)
-    check = verify_rescaling(state)
+    state = toric_rescale.ToricState(args.L)
+    big_site = toric_rescale.rescaled_site(state, (0, 0))
+    big_plaq = toric_rescale.rescaled_plaquette(state, (0, 0))
+    scan = toric_rescale.cardinality_scan(state)
+    check = toric_rescale.verify_rescaling(state)
     lines = [_csv_header(args).rstrip("\n")]
     lines.append("# note: internal correlation I(A) uses the stabilizer entropy defect")
     lines.append("region_size,entropy_bits,internal_correlation_bits")
@@ -280,7 +260,7 @@ def cmd_toric(args) -> int:
     lines.append(f"# rescaling_structure_ok={check.swaps_preserve_group}")
     _write(args.out, "\n".join(lines) + "\n")
     if args.svg:
-        _write(args.svg, generator_support_svg(state))
+        _write(args.svg, toric_rescale.generator_support_svg(state))
     _status(
         f"toric L={args.L}: n_T={scan.characteristic_cardinality}, "
         f"big generator weights {big_site.weight}/{big_plaq.weight}"
@@ -289,10 +269,10 @@ def cmd_toric(args) -> int:
 
 
 def cmd_dfs(args) -> int:
-    ops = collective_noise_generators(args.qubits)
-    dec = decompose(ops, seed=args.seed)
-    residual = block_diagonal_residual(dec, ops)
-    noiseless = find_noiseless(dec)
+    ops = dfs.collective_noise_generators(args.qubits)
+    dec = dfs.decompose(ops, seed=args.seed)
+    residual = dfs.block_diagonal_residual(dec, ops)
+    noiseless = dfs.find_noiseless(dec)
     payload = {
         "qubits": args.qubits,
         "blocks": [
@@ -319,11 +299,11 @@ def cmd_dfs(args) -> int:
 
 
 def cmd_logistic(args) -> int:
-    params = LogisticParams(r=args.r, K=args.K, dt=args.dt)
+    params = logistic.LogisticParams(r=args.r, K=args.K, dt=args.dt)
     if args.scan_mu is not None:
         mu_lo, mu_hi, count = args.scan_mu
-        mus = np.linspace(mu_lo, mu_hi, int(count))
-        rows = bifurcation_scan(mus, kappa=params.kappa, n0=args.N0)
+        mus = _linspace(mu_lo, mu_hi, int(count))
+        rows = logistic.bifurcation_scan(mus, kappa=params.kappa, n0=args.N0)
         lines = [_csv_header(args).rstrip("\n"), "mu,tail_value"]
         for mu, tail in rows:
             for v in tail:
@@ -331,11 +311,11 @@ def cmd_logistic(args) -> int:
         _write(args.out, "\n".join(lines) + "\n")
         _status(f"bifurcation scan over {len(rows)} mu values")
         return 0
-    orbit = map_orbit(params.mu, params.kappa, args.N0, args.steps)
-    report = detect_cycle(orbit) if args.steps >= 1300 else None
+    orbit = logistic.map_orbit(params.mu, params.kappa, args.N0, args.steps)
+    report = logistic.detect_cycle(orbit) if args.steps >= 1300 else None
     lines = [_csv_header(args).rstrip("\n"), "n,N_map,N_ode"]
     for i, v in enumerate(orbit):
-        ode = ode_solution(params, args.N0, i * args.dt)
+        ode = logistic.ode_solution(params, args.N0, i * args.dt)
         lines.append(f"{i},{v:.17g},{ode:.17g}")
     if report:
         lines.append(f"# cycle={report.kind}")
@@ -467,7 +447,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except DOMAIN_ERRORS as exc:
+    except Exception as exc:
+        if not isinstance(exc, __getattr__("DOMAIN_ERRORS")):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

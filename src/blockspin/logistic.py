@@ -9,9 +9,8 @@ step sizes where the ODE stays monotone.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-from ._numpy import np
 
 
 class DynamicsError(ValueError):
@@ -57,14 +56,13 @@ def map_step(mu: float, kappa: float, n: float) -> float:
     return mu * (1.0 - n / kappa) * n
 
 
-def map_orbit(mu: float, kappa: float, n0: float, steps: int) -> np.ndarray:
+def map_orbit(mu: float, kappa: float, n0: float, steps: int) -> list[float]:
     """Exact iteration of the finite-difference map, n0 included."""
     if steps < 0:
         raise DynamicsError("steps must be nonnegative")
-    orbit = np.empty(steps + 1)
-    orbit[0] = n0
-    for i in range(steps):
-        orbit[i + 1] = map_step(mu, kappa, orbit[i])
+    orbit = [float(n0)]
+    for _ in range(steps):
+        orbit.append(map_step(mu, kappa, orbit[-1]))
     return orbit
 
 
@@ -80,7 +78,7 @@ class CycleReport:
 
 
 def detect_cycle(
-    orbit: np.ndarray,
+    orbit: Sequence[float],
     tol: float = 1e-9,
     transient: int = 256,
     window: int = 1024,
@@ -90,25 +88,22 @@ def detect_cycle(
     The first `transient` points are discarded; candidate periods run up to
     a quarter of the analysis window.
     """
-    tail = np.asarray(orbit, dtype=float)[transient:]
-    if tail.size > window:
-        tail = tail[-window:]
-    if tail.size < 8:
+    tail = [float(v) for v in orbit[transient:][-window:]]
+    if len(tail) < 8:
         raise DynamicsError("orbit too short after transient discard")
-    max_period = tail.size // 4
-    for k in range(1, max_period + 1):
-        if np.all(np.abs(tail[k:] - tail[:-k]) < tol):
+    for k in range(1, len(tail) // 4 + 1):
+        if all(abs(b - a) < tol for a, b in zip(tail, tail[k:])):
             return CycleReport("fixed" if k == 1 else f"period-{k}", k)
     return CycleReport("aperiodic-within-window", None)
 
 
 def bifurcation_scan(
-    mu_values: np.ndarray,
+    mu_values: Sequence[float],
     kappa: float = 1.0,
     n0: float = 0.5,
     transient: int = 512,
     keep: int = 64,
-) -> list[tuple[float, np.ndarray]]:
+) -> list[tuple[float, list[float]]]:
     """Tail orbit values per mu, for bifurcation-diagram export."""
     out = []
     for mu in mu_values:

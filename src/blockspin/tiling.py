@@ -153,11 +153,28 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     distinct message for overlap/gap/non-similar failures.  The reported
     rotation is the representative in (-pi/4, pi/4].
     """
-    L = t.L
-    expected = _build_assignment(L, t.tile_shape, t.centers)
-    if t.assignment != expected:
-        bad = next(s for s in expected if t.assignment.get(s) != expected[s])
-        raise TilingError(f"assignment does not cover site {bad} consistently")
+    L, assignment = t.L, t.assignment
+    # one lookup per placed site: the |centers| x |shape| placements carry
+    # distinct (tile, position) values, so if each finds its own value and
+    # they number L^2 = len(assignment), they cover the torus exactly and
+    # the assignment is the one _build_assignment would rebuild
+    if not (
+        len(assignment) == len(t.centers) * len(t.tile_shape) == L * L
+        and all(
+            assignment.get(((cx + dx) % L, (cy + dy) % L)) == (tid, pos)
+            for tid, (cx, cy) in enumerate(t.centers)
+            for pos, (dx, dy) in enumerate(t.tile_shape, start=1)
+        )
+    ):
+        # the rebuild names the first overlap, gap or inconsistent site
+        expected = _build_assignment(L, t.tile_shape, t.centers)
+        if assignment != expected:
+            bad = next(
+                s
+                for s in (*expected, *assignment)
+                if s not in expected or assignment.get(s) != expected[s]
+            )
+            raise TilingError(f"assignment does not cover site {bad} consistently")
     center_set = {(c[0] % L, c[1] % L) for c in t.centers}
     if (0, 0) not in center_set:
         raise TilingError("center sublattice must contain the origin")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from blockspin.cli import main
+from blockspin.cli import _linspace, main
 from blockspin.logistic import (
     CycleReport,
     DynamicsError,
@@ -88,7 +88,7 @@ class TestMap:
 
     def test_orbit_zero(self):
         orbit = map_orbit(2.5, 1.0, 0.0, 10)
-        assert np.all(orbit == 0.0)
+        assert orbit == [0.0] * 11
 
     def test_fixed_points(self):
         lo, hi = map_fixed_points(2.0, 100.0)
@@ -148,3 +148,23 @@ class TestBifurcationScan:
         spread = [np.ptp(np.round(tail, 6)) for _, tail in rows]
         assert spread[0] < 1e-6  # fixed point
         assert spread[1] > 1e-3  # two-branch cycle
+
+
+class TestScanGrid:
+    def test_matches_numpy_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(20240)
+        for _ in range(2000):
+            lo, hi = rng.uniform(-4.0, 4.0, 2) * 10.0 ** rng.integers(-6, 7, 2)
+            if rng.random() < 0.1:
+                hi = lo
+            count = int(rng.integers(0, 50))
+            grid = _linspace(float(lo), float(hi), count)
+            assert [v.hex() for v in grid] == [
+                float(v).hex() for v in np.linspace(lo, hi, count)
+            ], (lo, hi, count)
+
+    def test_short_and_negative_counts(self, tmp_path):
+        assert _linspace(2.8, 3.6, 1) == [2.8]
+        assert _linspace(2.8, 3.6, 0) == []
+        argv = ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu"]
+        assert main(argv + ["2.8", "3.6", "-1", "--out", str(tmp_path / "scan.csv")]) == 2

@@ -1,9 +1,9 @@
-"""numpy is imported on first use: start-up, tiling, codes and channel work
-never load it.
+"""numpy and the package's layers are imported on first use: a subcommand
+loads only the layers it calls, and only `dfs` loads numpy.
 
 Each check runs in a fresh interpreter, since the test process has usually
-imported numpy already.  A module-level numpy call anywhere in the package
-loads numpy at `import blockspin` and fails these tests.
+imported numpy and every layer already.  A module-level numpy call anywhere
+in the package loads numpy at `import blockspin` and fails these tests.
 """
 
 import importlib.util
@@ -18,19 +18,27 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def _layers() -> tuple[str, ...]:
+def _tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.LAYERS
+    return tracing
+
+
+def _layers() -> tuple[str, ...]:
+    return _tracing().LAYERS
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def fresh(code: str) -> subprocess.CompletedProcess:
     """Run `code` in a new interpreter that imports blockspin from src/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=120
     )
 
 
@@ -43,6 +51,11 @@ CHANNEL_JOBS = {
     "threshold": ["threshold", "--code", "five-qubit", "--width", "1e-6"],
     "memory-support": ["memory-support", "--depolarizing", "0.2", "--epsilon", "0.5"],
     "toric": ["toric", "--L", "3"],
+}
+# plain-float map iteration, cycle detection and scan grid
+LOGISTIC_JOBS = {
+    "logistic-orbit": ["logistic", "--r", "1", "--K", "1", "--dt", "2.3", "--steps", "1400"],
+    "logistic-scan": ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu", "2.8", "3.6", "9"],
 }
 
 NO_NUMPY = (
@@ -64,15 +77,118 @@ NO_NUMPY = (
         "assert len(concatenate_tiling(plus_tiling(25), 2).addresses) == 625",
         *(
             f"from blockspin import cli\nassert cli.main({argv!r} + ['--out', {{out!r}}]) == 0"
-            for argv in CHANNEL_JOBS.values()
+            for argv in (*CHANNEL_JOBS.values(), *LOGISTIC_JOBS.values())
         ),
     ],
-    ids=["import", "import-cli", "tiling-subcommand", "concatenate", *CHANNEL_JOBS],
+    ids=["import", "import-cli", "tiling-subcommand", "concatenate", *CHANNEL_JOBS, *LOGISTIC_JOBS],
 )
 def test_numpy_not_loaded(setup, tmp_path):
     setup = setup.format(out=str(tmp_path / "artifact"))
     proc = fresh(NO_NUMPY.format(setup=setup))
     assert proc.returncode == 0, proc.stderr
+
+
+CODE_LAYERS = ["codes", "pauli"]
+CHANNEL_LAYERS = ["channel", "codes", "pauli"]
+
+# the layers each setup runs, besides cli; a layer counts as loaded once its
+# module is no longer the lazy stand-in, which `type()` does not load
+LAYERS_LOADED = {
+    "import-cli": ("import blockspin.cli", []),
+    "tiling": (["tiling", "--L", "25"], ["tiling"]),
+    "concatenate": ("from blockspin.tiling import concatenate_tiling", ["tiling"]),
+    "code": (CHANNEL_JOBS["code"], CODE_LAYERS),
+    "decode": (CHANNEL_JOBS["decode"], CODE_LAYERS),
+    "classify": (CHANNEL_JOBS["classify"], CHANNEL_LAYERS),
+    "channel-flow": (CHANNEL_JOBS["channel-flow"], CHANNEL_LAYERS),
+    "threshold": (CHANNEL_JOBS["threshold"], CHANNEL_LAYERS),
+    "memory-support": (CHANNEL_JOBS["memory-support"], CHANNEL_LAYERS),
+    "toric": (CHANNEL_JOBS["toric"], ["codes", "pauli", "toric_rescale"]),
+    "dfs": (["dfs", "--qubits", "3"], ["dfs"]),
+    "logistic-orbit": (LOGISTIC_JOBS["logistic-orbit"], ["logistic"]),
+    "logistic-scan": (LOGISTIC_JOBS["logistic-scan"], ["logistic"]),
+}
+
+
+@pytest.mark.parametrize("setup, expected", LAYERS_LOADED.values(), ids=LAYERS_LOADED)
+def test_subcommand_loads_only_its_layers(setup, expected, tmp_path):
+    if isinstance(setup, list):
+        out = str(tmp_path / "artifact")
+        setup = f"from blockspin import cli\nassert cli.main({setup!r} + ['--out', {out!r}]) == 0"
+    layers = [m for m in _layers() if m != "cli"]
+    code = (
+        "import importlib.util, sys\n"
+        f"{setup}\n"
+        "lazy = importlib.util._LazyModule\n"
+        f"loaded = [m for m in {layers!r} if 'blockspin.' + m in sys.modules\n"
+        "          and type(sys.modules['blockspin.' + m]) is not lazy]\n"
+        "print(' '.join(sorted(loaded)))\n"
+    )
+    proc = fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected
+
+
+def test_package_surface():
+    code = (
+        "import sys\n"
+        "import blockspin.cli\n"
+        + "".join(
+            f"import blockspin.{m}\nassert blockspin.{m} is sys.modules['blockspin.{m}']\n"
+            for m in _layers()
+        )
+        + "exports = {'Pauli': 'pauli', 'StabilizerGroup': 'pauli', 'StabilizerCode': 'codes',\n"
+        "           'five_qubit_code': 'codes', 'PauliChannel': 'channel'}\n"
+        "for name, layer in exports.items():\n"
+        "    obj = getattr(blockspin, name)\n"
+        "    assert obj.__module__ == 'blockspin.' + layer, name\n"
+        "    assert obj is getattr(sys.modules['blockspin.' + layer], name), name\n"
+        "for mod in (blockspin, blockspin.cli):\n"
+        "    try:\n"
+        "        mod.no_such_name\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(mod.__name__)\n"
+        "assert blockspin.cli.DOMAIN_ERRORS == (ValueError, blockspin.channel.IndeterminateFlowError)\n"
+    )
+    proc = fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    # a re-export loads its module when nothing else has
+    proc = fresh(
+        "from blockspin import PauliChannel, five_qubit_code\n"
+        "assert five_qubit_code().n == 5 and PauliChannel.__module__ == 'blockspin.channel'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, spans, counters",
+    [
+        (
+            ["threshold", "--code", "five-qubit", "--width", "1e-3"],
+            ["channel.threshold", "channel.effective_channel", "channel.LogicalActionTable.build"],
+            {"channel.table_entries": 1024},
+        ),
+        (["tiling", "--L", "25"], ["tiling.plus_tiling", "tiling.validate_tiling"], {}),
+    ],
+    ids=["threshold", "tiling"],
+)
+def test_tracing_wraps_lazily_loaded_layers(argv, spans, counters, tmp_path):
+    # perfbench/job.py installs its wrappers after `import blockspin.cli`,
+    # when the layers are still lazy; reading each module's namespace loads it
+    dump = tmp_path / "spans"
+    job = [sys.executable, str(ROOT / "perfbench" / "job.py"), "job", str(dump), "cli"]
+    proc = subprocess.run(
+        job + argv + ["--out", str(tmp_path / "artifact")],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, recorded = _tracing().load(str(dump))
+    names = {name for name, *_ in recorded}
+    assert set(spans) <= names, sorted(names)
+    for counter, value in counters.items():
+        assert header["counters"][counter] == value
 
 
 def test_cli_import_loads_every_layer():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from blockspin.tiling import (
     PLUS_OFFSETS,
     Tiling,
     TilingError,
+    _build_assignment,
     _is_similar_sublattice,
     brick_tiling,
     concatenate_tiling,
@@ -191,6 +193,86 @@ class TestValidator:
         bad = Tiling(L, shape, centers, assignment, math.sqrt(2), 0.0, "domino")
         with pytest.raises(TilingError, match="sublattice"):
             validate_tiling(bad)
+
+
+def _rebuild_route_message(t: Tiling) -> str | None:
+    """The earlier cover check, which rebuilt the whole assignment from the
+    centers: the message it raised, or None if the cover passed."""
+    try:
+        expected = _build_assignment(t.L, t.tile_shape, t.centers)
+    except TilingError as exc:
+        return str(exc)
+    if t.assignment != expected:
+        bad = next(s for s in expected if t.assignment.get(s) != expected[s])
+        return f"assignment does not cover site {bad} consistently"
+    return None
+
+
+def _swapped_position(t: Tiling) -> Tiling:
+    # a tile's center and its east neighbour trade positions
+    a = dict(t.assignment)
+    x, y = t.centers[3]
+    east = ((x + 1) % t.L, y)
+    a[(x, y)], a[east] = a[east], a[(x, y)]
+    return replace(t, assignment=a)
+
+
+def _missing_site(t: Tiling) -> Tiling:
+    a = dict(t.assignment)
+    del a[(7, 11)]
+    return replace(t, assignment=a)
+
+
+def _key_off_the_torus(t: Tiling) -> Tiling:
+    a = dict(t.assignment)
+    a[(7 + t.L, 11)] = a.pop((7, 11))
+    return replace(t, assignment=a)
+
+
+def _duplicated_center(t: Tiling) -> Tiling:
+    return replace(t, centers=[t.centers[0], t.centers[0], *t.centers[2:]])
+
+
+def _appended_center(t: Tiling) -> Tiling:
+    return replace(t, centers=[*t.centers, t.centers[-1]])
+
+
+def _dropped_center(t: Tiling) -> Tiling:
+    return replace(t, centers=t.centers[1:])
+
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: plus_tiling(25, +1), lambda: brick_tiling(25)], ids=["plus", "brick"]
+)
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _swapped_position,
+        _missing_site,
+        _key_off_the_torus,
+        _duplicated_center,
+        _appended_center,
+        _dropped_center,
+    ],
+)
+def test_one_pass_cover_check_keeps_the_rebuild_messages(build, corrupt):
+    t = build()
+    assert _rebuild_route_message(t) is None
+    bad = corrupt(t)
+    message = _rebuild_route_message(bad)
+    assert message is not None
+    with pytest.raises(TilingError) as exc:
+        validate_tiling(bad)
+    assert str(exc.value) == message
+
+
+def test_extra_key_off_the_torus_is_named():
+    # the earlier check raised StopIteration here: every rebuilt site matched
+    t = plus_tiling(25, +1)
+    bad = replace(t, assignment={**t.assignment, (25, 0): (0, 1)})
+    with pytest.raises(TilingError, match=r"does not cover site \(25, 0\) consistently"):
+        validate_tiling(bad)
 
 
 def _max_theta_over_similar(t: Tiling) -> tuple[bool, float, float]:
