@@ -32,7 +32,7 @@ class ChannelError(ValueError):
     """Raised on invalid channel data or enumeration budget overruns."""
 
 
-class IndeterminateFlowError(RuntimeError):
+class IndeterminateFlowError(ChannelError):
     """Flow hit the level cap without resolving; signals threshold proximity."""
 
 
@@ -202,10 +202,6 @@ class FlowTrajectory:
 
     levels: list[tuple[int, PauliChannel, float]]
     verdict: str  # converged-to-identity | converged-to-noise | max-iterations
-
-    @property
-    def channels(self) -> list[PauliChannel]:
-        return [c for _, c, _ in self.levels]
 
 
 def flow(

@@ -26,15 +26,8 @@ tiling = lazy_import("blockspin.tiling")
 toric_rescale = lazy_import("blockspin.toric_rescale")
 
 SCHEMA_VERSION = 1
-
-
-def __getattr__(name: str):
-    # DOMAIN_ERRORS is built on access, since naming channel's error class at
-    # import would load channel for every subcommand
-    if name == "DOMAIN_ERRORS":
-        # every package error but IndeterminateFlowError is a ValueError
-        return (ValueError, channel.IndeterminateFlowError)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# every package error is a ValueError
+DOMAIN_ERRORS = (ValueError,)
 
 
 def _meta(args: argparse.Namespace, seed: int | None = None) -> dict:
@@ -251,9 +244,7 @@ def cmd_toric(args) -> int:
     check = toric_rescale.verify_rescaling(state)
     lines = [_csv_header(args).rstrip("\n")]
     lines.append("# note: internal correlation I(A) uses the stabilizer entropy defect")
-    lines.append("region_size,entropy_bits,internal_correlation_bits")
-    for row in scan.rows:
-        lines.append(f"{row.region_size},{row.entropy},{row.correlation}")
+    lines.append(scan.to_csv().rstrip("\n"))
     lines.append(f"# characteristic_cardinality={scan.characteristic_cardinality}")
     lines.append(f"# rescaled_site_weight={big_site.weight}")
     lines.append(f"# rescaled_plaquette_weight={big_plaq.weight}")
@@ -302,6 +293,10 @@ def cmd_logistic(args) -> int:
     params = logistic.LogisticParams(r=args.r, K=args.K, dt=args.dt)
     if args.scan_mu is not None:
         mu_lo, mu_hi, count = args.scan_mu
+        if not count.is_integer():
+            raise logistic.DynamicsError(
+                f"--scan-mu COUNT must be a whole number, got {count}"
+            )
         mus = _linspace(mu_lo, mu_hi, int(count))
         rows = logistic.bifurcation_scan(mus, kappa=params.kappa, n0=args.N0)
         lines = [_csv_header(args).rstrip("\n"), "mu,tail_value"]
@@ -447,9 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except Exception as exc:
-        if not isinstance(exc, __getattr__("DOMAIN_ERRORS")):
-            raise
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

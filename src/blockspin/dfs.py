@@ -243,6 +243,11 @@ def block_diagonal_residual(dec: AlgebraDecomposition, ops: OperatorSet) -> floa
 
 def collective_noise_generators(n_qubits: int) -> OperatorSet:
     """Collective spin operators S_x, S_y, S_z on n qubits."""
+    if n_qubits < 0:
+        raise AlgebraError(f"qubit count must be >= 0, got {n_qubits}")
+    # compared by bit length, so a huge count is refused without forming 2**n
+    if n_qubits >= DIM_CAP.bit_length():
+        raise AlgebraError(f"dimension 2^{n_qubits} exceeds cap {DIM_CAP}")
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2

@@ -122,9 +122,6 @@ class Pauli:
     def __str__(self) -> str:
         return self.to_string()
 
-    def equal_up_to_phase(self, other: "Pauli") -> bool:
-        return (self.n, self.x, self.z) == (other.n, other.x, other.z)
-
     def is_identity(self) -> bool:
         return self.phase_exp == 0 and not self.x | self.z
 

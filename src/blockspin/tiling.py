@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class TilingError(ValueError):
@@ -20,25 +21,72 @@ PLUS_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))  # center, N, E, S, W
 BRICK_OFFSETS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tiling:
-    """Exact cover of the L x L torus by translates of one tile shape.
-
-    assignment maps each site to (tile_id, position index 1..|shape|);
+    """Translates of one tile shape placed at centers on the L x L torus;
     centers[tile_id] is the tile's anchor site.
+
+    Frozen, with the centers as a tuple (any iterable is accepted), so the
+    cover and the geometry derived from them on first use stay theirs.
     """
 
     L: int
     tile_shape: tuple[tuple[int, int], ...]
-    centers: list[tuple[int, int]]
-    assignment: dict[tuple[int, int], tuple[int, int]]
-    rescale: float
-    rotation: float
+    centers: tuple[tuple[int, int], ...]
     name: str = "custom"
+
+    def __post_init__(self):
+        object.__setattr__(self, "centers", tuple(self.centers))
 
     @property
     def tile_count(self) -> int:
         return len(self.centers)
+
+    @cached_property
+    def assignment(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Site -> (tile index, position from 1); raises TilingError naming
+        the first overlapped or missed site."""
+        return _build_assignment(self.L, self.tile_shape, self.centers)
+
+    @cached_property
+    def _similarity(self) -> tuple[float, float]:
+        """(rescale, rotation) of a similar sublattice basis fitted to the
+        centers, with the rotation in (-pi/4, pi/4]; raises TilingError when
+        the centers miss the origin, hold no other site or are not similar."""
+        L = self.L
+        center_set = {(c[0] % L, c[1] % L) for c in self.centers}
+        if (0, 0) not in center_set:
+            raise TilingError("center sublattice must contain the origin")
+        # candidate basis vectors: minimal-norm nonzero centers in signed
+        # reps, coordinates in (-L/2, L/2], so of norm at most L^2 / 2
+        min_norm, candidates = L * L, []
+        for x, y in center_set:
+            v = (x - L if x > L // 2 else x, y - L if y > L // 2 else y)
+            norm = v[0] ** 2 + v[1] ** 2
+            if 0 < norm < min_norm:
+                min_norm, candidates = norm, [v]
+            elif norm == min_norm:
+                candidates.append(v)
+        if not candidates:
+            raise TilingError("no nonzero centers to fit")
+        # the largest rotation in the window whose basis generates the
+        # centers; the window holds one of each four 90-degree rotations of a
+        # generator, so on a similar sublattice one check usually decides
+        by_theta = sorted(((math.atan2(b, a), a, b) for a, b in candidates), reverse=True)
+        for theta, a, b in by_theta:
+            if -math.pi / 4 < theta <= math.pi / 4 and _is_similar_sublattice(
+                center_set, a, b, L
+            ):
+                return math.sqrt(a * a + b * b), theta
+        raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
+
+    @property
+    def rescale(self) -> float:
+        return self._similarity[0]
+
+    @property
+    def rotation(self) -> float:
+        return self._similarity[1]
 
     def to_json(self) -> str:
         doc = {
@@ -92,16 +140,7 @@ def plus_tiling(L: int, handedness: int = +1) -> Tiling:
         centers = [(x, y) for y in range(L) for x in range(L) if (2 * x + y) % 5 == 0]
     else:
         centers = [(x, y) for y in range(L) for x in range(L) if (x + 2 * y) % 5 == 0]
-    assignment = _build_assignment(L, PLUS_OFFSETS, centers)
-    return Tiling(
-        L=L,
-        tile_shape=PLUS_OFFSETS,
-        centers=centers,
-        assignment=assignment,
-        rescale=math.sqrt(5.0),
-        rotation=handedness * math.atan2(1.0, 2.0),
-        name="plus-right" if handedness == +1 else "plus-left",
-    )
+    return Tiling(L, PLUS_OFFSETS, centers, "plus-right" if handedness == +1 else "plus-left")
 
 
 def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
@@ -118,32 +157,13 @@ def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
     centers = [
         (x, y) for y in range(L) for x in range(L) if (x - row_offset * y) % 5 == 0
     ]
-    assignment = _build_assignment(L, BRICK_OFFSETS, centers)
-    rotation = math.atan2(1.0, 2.0) if row_offset == 2 else -math.atan2(1.0, 2.0)
-    return Tiling(
-        L=L,
-        tile_shape=BRICK_OFFSETS,
-        centers=centers,
-        assignment=assignment,
-        rescale=math.sqrt(5.0),
-        rotation=rotation,
-        name="brick",
-    )
+    return Tiling(L, BRICK_OFFSETS, centers, "brick")
 
 
 def trivial_tiling(L: int) -> Tiling:
     """1x1 tiles; rescale 1, rotation 0."""
     _check_extent(L)
-    centers = [(x, y) for y in range(L) for x in range(L)]
-    return Tiling(
-        L=L,
-        tile_shape=((0, 0),),
-        centers=centers,
-        assignment=_build_assignment(L, ((0, 0),), centers),
-        rescale=1.0,
-        rotation=0.0,
-        name="trivial",
-    )
+    return Tiling(L, ((0, 0),), [(x, y) for y in range(L) for x in range(L)], "trivial")
 
 
 def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
@@ -153,53 +173,8 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     distinct message for overlap/gap/non-similar failures.  The reported
     rotation is the representative in (-pi/4, pi/4].
     """
-    L, assignment = t.L, t.assignment
-    # one lookup per placed site: the |centers| x |shape| placements carry
-    # distinct (tile, position) values, so if each finds its own value and
-    # they number L^2 = len(assignment), they cover the torus exactly and
-    # the assignment is the one _build_assignment would rebuild
-    if not (
-        len(assignment) == len(t.centers) * len(t.tile_shape) == L * L
-        and all(
-            assignment.get(((cx + dx) % L, (cy + dy) % L)) == (tid, pos)
-            for tid, (cx, cy) in enumerate(t.centers)
-            for pos, (dx, dy) in enumerate(t.tile_shape, start=1)
-        )
-    ):
-        # the rebuild names the first overlap, gap or inconsistent site
-        expected = _build_assignment(L, t.tile_shape, t.centers)
-        if assignment != expected:
-            bad = next(
-                s
-                for s in (*expected, *assignment)
-                if s not in expected or assignment.get(s) != expected[s]
-            )
-            raise TilingError(f"assignment does not cover site {bad} consistently")
-    center_set = {(c[0] % L, c[1] % L) for c in t.centers}
-    if (0, 0) not in center_set:
-        raise TilingError("center sublattice must contain the origin")
-    # candidate basis vectors: minimal-norm nonzero centers in signed reps,
-    # coordinates in (-L/2, L/2], so of norm at most L^2 / 2
-    min_norm, candidates = L * L, []
-    for x, y in center_set:
-        v = (x - L if x > L // 2 else x, y - L if y > L // 2 else y)
-        norm = v[0] ** 2 + v[1] ** 2
-        if 0 < norm < min_norm:
-            min_norm, candidates = norm, [v]
-        elif norm == min_norm:
-            candidates.append(v)
-    if not candidates:
-        raise TilingError("no nonzero centers to fit")
-    # the largest rotation in the window whose basis generates the centers;
-    # the window holds one of each four 90-degree rotations of a generator,
-    # so on a similar sublattice one check usually decides
-    by_theta = sorted(((math.atan2(b, a), a, b) for a, b in candidates), reverse=True)
-    for theta, a, b in by_theta:
-        if -math.pi / 4 < theta <= math.pi / 4 and _is_similar_sublattice(
-            center_set, a, b, L
-        ):
-            return True, math.sqrt(a * a + b * b), theta
-    raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
+    t.assignment  # building the cover names the first overlap or gap
+    return True, t.rescale, t.rotation
 
 
 def _is_similar_sublattice(

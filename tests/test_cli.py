@@ -39,6 +39,18 @@ class TestExitCodes:
     def test_dfs_above_dimension_cap_refused(self):
         assert run(["dfs", "--qubits", "7"]) == 2
 
+    def test_dfs_negative_qubit_count_refused(self, capsys):
+        assert run(["dfs", "--qubits", "-1"]) == 2
+        assert "qubit count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["inf", "nan", "2.5"])
+    def test_logistic_scan_count_must_be_whole(self, count, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        argv = ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu", "3", "3.5", count]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "COUNT" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "1e-20"])
     def test_threshold_bad_width_refused(self, width, tmp_path, capsys):
         out = tmp_path / "threshold.json"

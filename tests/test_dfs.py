@@ -276,3 +276,14 @@ class TestCollectiveGenerators:
     def test_dimension_cap(self):
         with pytest.raises(AlgebraError):
             collective_noise_generators(8)
+
+    @pytest.mark.parametrize(
+        "n, match", [(-1, "qubit count"), (7, "exceeds cap"), (10**9, "exceeds cap")]
+    )
+    def test_refused_before_any_matrix_is_built(self, n, match, monkeypatch):
+        def no_kron(*args):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(AlgebraError, match=match):
+            collective_noise_generators(n)

@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockspin import tiling
 from blockspin.tiling import (
     BRICK_OFFSETS,
     PLUS_OFFSETS,
@@ -155,18 +156,6 @@ class TestSublatticeTest:
 
 
 class TestValidator:
-    def test_detects_double_cover(self):
-        t = plus_tiling(5, +1)
-        broken = dict(t.assignment)
-        # point two sites at the same tile/position
-        sites = sorted(broken)
-        broken[sites[0]] = broken[sites[1]]
-        bad = Tiling(
-            t.L, t.tile_shape, t.centers, broken, t.rescale, t.rotation, "bad"
-        )
-        with pytest.raises(TilingError, match="cover"):
-            validate_tiling(bad)
-
     def test_names_missing_and_doubled_site(self):
         t = plus_tiling(5, +1)
         assert t.centers[0] == (0, 0)
@@ -174,9 +163,7 @@ class TestValidator:
             (t.centers[1:], r"gap at site \(0, 0\)"),
             (t.centers + t.centers[:1], r"overlap at site \(\d+, \d+\)"),
         ]:
-            bad = Tiling(
-                t.L, t.tile_shape, centers, t.assignment, t.rescale, t.rotation, "bad"
-            )
+            bad = Tiling(t.L, t.tile_shape, centers, "bad")
             with pytest.raises(TilingError, match=message):
                 validate_tiling(bad)
 
@@ -184,49 +171,98 @@ class TestValidator:
         # 2x1 dominoes with column-stripe centers: exact cover, but the
         # center lattice is not a rotated-and-scaled copy of Z^2
         L = 4
-        shape = ((0, 0), (1, 0))
         centers = [(x, y) for x in range(0, L, 2) for y in range(L)]
-        assignment = {}
-        for tid, (cx, cy) in enumerate(centers):
-            for pos, (dx, dy) in enumerate(shape):
-                assignment[((cx + dx) % L, (cy + dy) % L)] = (tid, pos + 1)
-        bad = Tiling(L, shape, centers, assignment, math.sqrt(2), 0.0, "domino")
+        bad = Tiling(L, ((0, 0), (1, 0)), centers, "domino")
+        assert len(bad.assignment) == L * L
         with pytest.raises(TilingError, match="sublattice"):
             validate_tiling(bad)
 
+    def test_rejects_centers_off_the_origin(self):
+        t = plus_tiling(5, +1)
+        shifted = Tiling(t.L, t.tile_shape, [((x + 1) % 5, y) for x, y in t.centers])
+        assert len(shifted.assignment) == 25
+        with pytest.raises(TilingError, match="must contain the origin"):
+            validate_tiling(shifted)
 
-def _rebuild_route_message(t: Tiling) -> str | None:
-    """The earlier cover check, which rebuilt the whole assignment from the
-    centers: the message it raised, or None if the cover passed."""
-    try:
-        expected = _build_assignment(t.L, t.tile_shape, t.centers)
-    except TilingError as exc:
-        return str(exc)
-    if t.assignment != expected:
-        bad = next(s for s in expected if t.assignment.get(s) != expected[s])
-        return f"assignment does not cover site {bad} consistently"
-    return None
-
-
-def _swapped_position(t: Tiling) -> Tiling:
-    # a tile's center and its east neighbour trade positions
-    a = dict(t.assignment)
-    x, y = t.centers[3]
-    east = ((x + 1) % t.L, y)
-    a[(x, y)], a[east] = a[east], a[(x, y)]
-    return replace(t, assignment=a)
+    def test_single_site_has_nothing_to_fit(self):
+        t = trivial_tiling(1)
+        assert t.assignment == {(0, 0): (0, 1)}
+        with pytest.raises(TilingError, match="no nonzero centers to fit"):
+            t.rescale
+        with pytest.raises(TilingError, match="no nonzero centers to fit"):
+            validate_tiling(t)
 
 
-def _missing_site(t: Tiling) -> Tiling:
-    a = dict(t.assignment)
-    del a[(7, 11)]
-    return replace(t, assignment=a)
+BUILDERS = {
+    "plus-right": lambda L: plus_tiling(L, +1),
+    "plus-left": lambda L: plus_tiling(L, -1),
+    "brick": brick_tiling,
+    "brick-3": lambda L: brick_tiling(L, row_offset=3),
+    "trivial": trivial_tiling,
+}
 
 
-def _key_off_the_torus(t: Tiling) -> Tiling:
-    a = dict(t.assignment)
-    a[(7 + t.L, 11)] = a.pop((7, 11))
-    return replace(t, assignment=a)
+class TestFrozen:
+    def test_fields(self):
+        assert [f.name for f in fields(Tiling)] == ["L", "tile_shape", "centers", "name"]
+
+    @pytest.mark.parametrize("name", ["L", "tile_shape", "centers", "name", "assignment"])
+    def test_assigning_to_a_field_raises(self, name):
+        t = plus_tiling(5, +1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, getattr(t, name))
+
+    def test_centers_are_copied_into_a_tuple(self):
+        centers = [(x, y) for y in range(5) for x in range(5) if (2 * x + y) % 5 == 0]
+        t = Tiling(5, PLUS_OFFSETS, centers)
+        centers.append((1, 1))
+        assert isinstance(t.centers, tuple)
+        assert t.centers == plus_tiling(5, +1).centers
+        assert Tiling(5, PLUS_OFFSETS, iter(centers[:-1])) == t
+        assert hash(replace(t)) == hash(t)
+
+    def test_cover_and_fit_run_once_per_object(self, monkeypatch):
+        calls = {"cover": 0, "closure": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(tiling, "_build_assignment", counting("cover", _build_assignment))
+        monkeypatch.setattr(
+            tiling, "_is_similar_sublattice", counting("closure", _is_similar_sublattice)
+        )
+        t = plus_tiling(25, +1)
+        concatenate_tiling(t, 2)
+        assert calls["cover"] == 0
+        first = validate_tiling(t)
+        once = dict(calls)
+        assert once["cover"] == 1 and once["closure"] >= 1
+        assert validate_tiling(t) == first
+        assert (t.rescale, t.rotation) == first[1:]
+        assert len(t.assignment) == 625
+        render_svg(t)
+        assert calls == once
+        # a variant is a new object with its own cover and fit
+        assert validate_tiling(replace(t, name="variant")) == first
+        assert calls["cover"] == 2
+
+    @pytest.mark.parametrize("L", [5, 25, 250])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_fit_equals_the_constructor_constants(self, kind, L):
+        # the values the constructors stored before the fit, bit for bit
+        expected = {
+            "plus-right": (math.sqrt(5.0), math.atan2(1.0, 2.0)),
+            "plus-left": (math.sqrt(5.0), -math.atan2(1.0, 2.0)),
+            "brick": (math.sqrt(5.0), math.atan2(1.0, 2.0)),
+            "brick-3": (math.sqrt(5.0), -math.atan2(1.0, 2.0)),
+            "trivial": (1.0, 0.0),
+        }[kind]
+        t = BUILDERS[kind](L)
+        assert (t.rescale, t.rotation) == expected
+        assert validate_tiling(t) == (True, *expected)
 
 
 def _duplicated_center(t: Tiling) -> Tiling:
@@ -241,38 +277,25 @@ def _dropped_center(t: Tiling) -> Tiling:
     return replace(t, centers=t.centers[1:])
 
 
-
 @pytest.mark.parametrize(
     "build", [lambda: plus_tiling(25, +1), lambda: brick_tiling(25)], ids=["plus", "brick"]
 )
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        _swapped_position,
-        _missing_site,
-        _key_off_the_torus,
-        _duplicated_center,
-        _appended_center,
-        _dropped_center,
+        (_duplicated_center, "overlap at site (0, 0)"),
+        (_appended_center, "overlap at site {last}"),
+        (_dropped_center, "gap at site (0, 0)"),
     ],
+    ids=["_duplicated_center", "_appended_center", "_dropped_center"],
 )
-def test_one_pass_cover_check_keeps_the_rebuild_messages(build, corrupt):
+def test_one_pass_cover_check_keeps_the_rebuild_messages(build, corrupt, message):
+    # the cover is built from the centers, and _build_assignment names the
+    # first overlapped or missed site
     t = build()
-    assert _rebuild_route_message(t) is None
-    bad = corrupt(t)
-    message = _rebuild_route_message(bad)
-    assert message is not None
     with pytest.raises(TilingError) as exc:
-        validate_tiling(bad)
-    assert str(exc.value) == message
-
-
-def test_extra_key_off_the_torus_is_named():
-    # the earlier check raised StopIteration here: every rebuilt site matched
-    t = plus_tiling(25, +1)
-    bad = replace(t, assignment={**t.assignment, (25, 0): (0, 1)})
-    with pytest.raises(TilingError, match=r"does not cover site \(25, 0\) consistently"):
-        validate_tiling(bad)
+        validate_tiling(corrupt(t))
+    assert str(exc.value) == message.format(last=t.centers[-1])
 
 
 def _max_theta_over_similar(t: Tiling) -> tuple[bool, float, float]:
