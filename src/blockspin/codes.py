@@ -247,28 +247,36 @@ def shor_code() -> StabilizerCode:
     ))
 
 
-def encode_zero(code: StabilizerCode) -> np.ndarray:
-    """Dense logical-|0> amplitude vector via the stabilizer projector.
+# Amplitudes below this are rounding: a stabilizer state's nonzero
+# amplitudes have modulus 2^(-r/2) with r <= n <= 12, so at least 2^-6,
+# while projecting leaves ~1e-15 where the state vanishes.
+_AMPLITUDE_ATOL = 1e-9
 
-    Applies prod (1+M_i)/2 then (1+Zbar)/2 to |0...0>, normalizes, and fixes
-    the global phase so the first nonzero amplitude (the all-zeros component
-    when present) is positive real.
-    """
+
+def _joint_eigenvector(n: int, ops) -> np.ndarray:
+    """The one joint +1 eigenvector of commuting Paulis: a seeded generic
+    vector projected by each (1+P)/2, so no component vanishes by accident,
+    normalized, its first nonzero amplitude made positive real."""
+    rng = np.random.default_rng(0)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    for g in ops:
+        vec = 0.5 * (vec + g.apply(vec))
+    norm = np.linalg.norm(vec)
+    if norm < _AMPLITUDE_ATOL:
+        raise CodeError("the operators have no joint +1 eigenvector")
+    vec = vec / norm
+    lead = vec[np.flatnonzero(np.abs(vec) > _AMPLITUDE_ATOL)[0]]
+    return vec * (abs(lead) / lead)
+
+
+def encode_zero(code: StabilizerCode) -> np.ndarray:
+    """Dense logical-|0> amplitude vector: the joint +1 eigenvector of the
+    checks and Zbar, its first nonzero amplitude positive real."""
     if code.n > 12:
         raise CodeError("dense codewords limited to n <= 12")
     if code.k != 1:
         raise CodeError("encode_zero requires k=1")
-    vec = np.zeros(2**code.n, dtype=complex)
-    vec[0] = 1.0
-    for g in (*code.stabilizer.generators, code.logical_z[0]):
-        vec = 0.5 * (vec + g.apply(vec))
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise CodeError("projector annihilates |0...0>")
-    vec = vec / norm
-    lead = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
-    vec = vec * (abs(lead) / lead)
-    return vec
+    return _joint_eigenvector(code.n, (*code.stabilizer.generators, code.logical_z[0]))
 
 
 def encode_one(code: StabilizerCode) -> np.ndarray:
@@ -296,45 +304,62 @@ def check_correctable(
     return True, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliffordDecoder:
     """A Clifford map taking the code frame to the decoded frame.
 
     Stored as the images of single-qubit X_j / Z_j under conjugation by the
     decoding unitary U, plus the symplectic frame data needed to build U
     densely: U maps encoded states to (data qubit) x |0...0> on n-1 ancillas.
+    The decoder is frozen and its fields are tuples.
     """
 
     n: int
-    image_x: list[Pauli]
-    image_z: list[Pauli]
-    frame_in: list[Pauli]   # Xbar, Zbar, M_1.., D_1.. on the code side
-    frame_out: list[Pauli]  # X1, Z1, Z_2.., X_2.. on the decoded side
+    image_x: tuple[Pauli, ...]
+    image_z: tuple[Pauli, ...]
+    frame_in: tuple[Pauli, ...]   # Xbar, Zbar, M_1.., D_1.. on the code side
+    frame_out: tuple[Pauli, ...]  # X1, Z1, Z_2.., X_2.. on the decoded side
+
+    def __post_init__(self):
+        for name in ("image_x", "image_z", "frame_in", "frame_out"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def conjugate(self, p: Pauli) -> Pauli:
-        """Exact image U p U^dag, phases included."""
+        """Exact image U p U^dag, phases included: the factors of
+        p = i^e prod_j X_j^{x_j} Z_j^{z_j} multiply with no sign, so the
+        image is i^e times the product of their images."""
         if p.n != self.n:
             raise PauliError("length mismatch")
         n = self.n
         out = Pauli.identity(n)
-        rebuilt = Pauli.identity(n)
         for j in range(n):
             bit = 1 << (n - 1 - j)
             if p.x & bit:
                 out = multiply(out, self.image_x[j])
-                rebuilt = multiply(rebuilt, Pauli.packed(n, bit, 0))
             if p.z & bit:
                 out = multiply(out, self.image_z[j])
-                rebuilt = multiply(rebuilt, Pauli.packed(n, 0, bit))
-        # p = i^delta * rebuilt; carry the residual phase over.
-        delta = p.phase_exp - rebuilt.phase_exp
-        return Pauli.packed(n, out.x, out.z, out.phase_exp + delta)
+        return Pauli.packed(n, out.x, out.z, out.phase_exp + p.phase_exp)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense unitary (n <= 12), mapping code frame to product frame."""
+        """Dense unitary (n <= 12), mapping code frame to product frame.
+
+        Column b of U^dag is the image of |b>: the x-like frame members
+        (Xbar, D_i) of b's set bits applied to the joint +1 eigenvector of
+        the z-like ones (Zbar, M_i), the image of |0...0>."""
         if self.n > 12:
             raise CodeError("dense decoder limited to n <= 12")
-        return _frame_unitary(self.n, self.frame_in, self.frame_out)
+        n, m = self.n, self.n - 1
+        z_like = (self.frame_in[1], *self.frame_in[2 : 2 + m])
+        x_like = (self.frame_in[0], *self.frame_in[2 + m :])
+        vec = _joint_eigenvector(n, z_like)
+        cols = np.zeros((2**n, 2**n), dtype=complex)
+        for b in range(2**n):
+            state = vec
+            for j in range(n):
+                if b >> (n - 1 - j) & 1:
+                    state = x_like[j].apply(state)
+            cols[:, b] = state
+        return cols.conj().T
 
 
 def _solve_gf2(rows: list[int], b) -> int | None:
@@ -373,89 +398,37 @@ def _destabilizers(code: StabilizerCode) -> list[Pauli]:
     return found
 
 
-def _frame_unitary(
-    n: int, frame_in: list[Pauli], frame_out: list[Pauli]
-) -> np.ndarray:
-    """Dense U with U P_in U^dag = P_out for each symplectic frame pair.
-
-    frame layout: [Xbar-like ops (k of them are at the front paired with
-    Zbar-like), ...] -- here concretely [X_L, Z_L, M_1..M_{n-1}, D_1..D_{n-1}]
-    mapped to [X_1, Z_1, Z_2..Z_n, X_2..X_n].
-    """
-    dim = 2**n
-    m = (len(frame_in) - 2) // 2
-    z_like_in = [frame_in[1]] + frame_in[2 : 2 + m]
-    x_like_in = [frame_in[0]] + frame_in[2 + m :]
-    # Joint +1 eigenvector of the commuting z-like family = image of |0..0>.
-    vec = np.zeros(dim, dtype=complex)
-    rng_seed = np.random.default_rng(0)
-    # project a generic vector to avoid an accidental zero component
-    vec = rng_seed.normal(size=dim) + 1j * rng_seed.normal(size=dim)
-    for g in z_like_in:
-        vec = 0.5 * (vec + g.apply(vec))
-    norm = np.linalg.norm(vec)
-    if norm < 1e-9:
-        raise CodeError("frame synthesis failed: empty joint eigenspace")
-    vec /= norm
-    lead = vec[np.flatnonzero(np.abs(vec) > 1e-9)[0]]
-    vec *= abs(lead) / lead
-    cols = np.zeros((dim, dim), dtype=complex)
-    for basis_index in range(dim):
-        state = vec
-        for bitpos in range(n):
-            if (basis_index >> (n - 1 - bitpos)) & 1:
-                state = x_like_in[bitpos].apply(state)
-        cols[:, basis_index] = state
-    # U maps frame_in basis states onto computational basis states.
-    return cols.conj().T
-
-
 def synthesize_decoder(code: StabilizerCode) -> CliffordDecoder:
-    """Clifford taking M_i -> Z_{i+1}, Xbar -> X_1, Zbar -> Z_1 exactly."""
+    """Clifford taking M_i -> Z_{i+1}, Xbar -> X_1, Zbar -> Z_1 exactly.
+
+    The frame pairs (Xbar, Zbar) and (M_i, D_i) are symplectic: a pair
+    anticommutes and all else commutes.  So X_j or Z_j is, up to phase, the
+    product of the frame members whose partner anticommutes with it; its
+    image is the product of the matching decoded-side members, with the
+    phase that makes the code-side product equal X_j or Z_j.
+    """
     if code.k != 1:
         raise CodeError("decoder synthesis requires k=1")
     n = code.n
     gens = code.stabilizer.generators
     dests = _destabilizers(code)
     frame_in = [code.logical_x[0], code.logical_z[0], *gens, *dests]
-    frame_out = (
-        [Pauli.from_string("X" + "I" * (n - 1)), Pauli.from_string("Z" + "I" * (n - 1))]
-        + [
-            Pauli.from_string("I" * (i + 1) + "Z" + "I" * (n - i - 2))
-            for i in range(n - 1)
-        ]
-        + [
-            Pauli.from_string("I" * (i + 1) + "X" + "I" * (n - i - 2))
-            for i in range(n - 1)
-        ]
-    )
-    m = len(frame_in)
-    # the matrix whose columns are the frame's [x|z] rows, row by row
-    basis_cols = [
-        _pack(f.row >> k & 1 for f in frame_in) for k in range(2 * n - 1, -1, -1)
-    ]
+    partners = [code.logical_z[0], code.logical_x[0], *dests, *gens]
+    xs = [Pauli.packed(n, 1 << (n - 1 - j), 0) for j in range(n)]
+    zs = [Pauli.packed(n, 0, 1 << (n - 1 - j)) for j in range(n)]
+    frame_out = [xs[0], zs[0], *zs[1:], *xs[1:]]
     images: list[Pauli] = []
-    # the targets X_0..X_{n-1}, Z_0..Z_{n-1}, all with phase 0
-    for target in range(2 * n):
-        coeffs = _solve_gf2(basis_cols, [k == target for k in range(2 * n)])
-        if coeffs is None:
-            raise CodeError("frame does not span the Pauli group")
-        rebuilt = Pauli.identity(n)
-        image = Pauli.identity(n)
-        for j, (pin, pout) in enumerate(zip(frame_in, frame_out)):
-            if coeffs >> (m - 1 - j) & 1:
-                rebuilt = multiply(rebuilt, pin)
+    for target in (*xs, *zs):
+        code_side = image = Pauli.identity(n)
+        for pin, partner, pout in zip(frame_in, partners, frame_out):
+            if not commutes(target, partner):
+                code_side = multiply(code_side, pin)
                 image = multiply(image, pout)
-        images.append(
-            Pauli.packed(n, image.x, image.z, image.phase_exp - rebuilt.phase_exp)
-        )
-    return CliffordDecoder(
-        n=n,
-        image_x=images[:n],
-        image_z=images[n:],
-        frame_in=frame_in,
-        frame_out=frame_out,
-    )
+        if (code_side.x, code_side.z) != (target.x, target.z):
+            raise CodeError("frame does not span the Pauli group")
+        phase = image.phase_exp - code_side.phase_exp
+        images.append(Pauli.packed(n, image.x, image.z, phase))
+    return CliffordDecoder(n, images[:n], images[n:], frame_in, frame_out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ blocking rescales the lattice by sqrt(5) and rotates it by +-arctan(1/2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,6 +35,8 @@ class Tiling:
     name: str = "custom"
 
     def __post_init__(self):
+        if self.L < 1:
+            raise TilingError(f"extent L must be >= 1, got {self.L}")
         object.__setattr__(self, "centers", tuple(self.centers))
 
     @property
@@ -88,20 +89,6 @@ class Tiling:
     def rotation(self) -> float:
         return self._similarity[1]
 
-    def to_json(self) -> str:
-        doc = {
-            "L": self.L,
-            "name": self.name,
-            "tile_shape": [list(o) for o in self.tile_shape],
-            "centers": [list(c) for c in self.centers],
-            "assignment": {
-                f"{x},{y}": [t, p] for (x, y), (t, p) in sorted(self.assignment.items())
-            },
-            "rescale": self.rescale,
-            "rotation": self.rotation,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
 
 def _build_assignment(
     L: int, offsets, centers
@@ -123,15 +110,9 @@ def _build_assignment(
     return assignment
 
 
-def _check_extent(L: int) -> None:
-    if L < 1:
-        raise TilingError(f"extent L must be >= 1, got {L}")
-
-
 def plus_tiling(L: int, handedness: int = +1) -> Tiling:
     """Plus-pentomino exact cover; centers 2x+y=0 (mod 5) for right-handed,
     x+2y=0 for left-handed.  Rescale sqrt(5), rotation +-arctan(1/2)."""
-    _check_extent(L)
     if L % 5 != 0:
         raise TilingError("plus tiling needs L = 0 mod 5")
     if handedness not in (+1, -1):
@@ -149,7 +130,6 @@ def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
     row_offset 2 reproduces the right-handed plus center sublattice;
     row_offset 3 gives the mirror.
     """
-    _check_extent(L)
     if L % 5 != 0:
         raise TilingError("brick tiling needs L = 0 mod 5")
     if row_offset not in (2, 3):
@@ -162,7 +142,6 @@ def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
 
 def trivial_tiling(L: int) -> Tiling:
     """1x1 tiles; rescale 1, rotation 0."""
-    _check_extent(L)
     return Tiling(L, ((0, 0),), [(x, y) for y in range(L) for x in range(L)], "trivial")
 
 

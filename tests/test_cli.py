@@ -51,6 +51,13 @@ class TestExitCodes:
         assert "COUNT" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_logistic_scan_count_capped(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        argv = ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu", "3", "3.5", "1e7"]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "COUNT" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "1e-20"])
     def test_threshold_bad_width_refused(self, width, tmp_path, capsys):
         out = tmp_path / "threshold.json"

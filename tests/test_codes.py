@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockspin import codes
 from blockspin.codes import (
     CodeError,
     StabilizerCode,
@@ -26,7 +27,14 @@ from blockspin.codes import (
     toric_site_generator,
     trivial_code,
 )
-from blockspin.pauli import Pauli, commutes, gf2_rank, multiply, random_pauli
+from blockspin.pauli import (
+    Pauli,
+    StabilizerGroup,
+    commutes,
+    gf2_rank,
+    multiply,
+    random_pauli,
+)
 
 PERFECT_GENS = ["ZZXIX", "XZZXI", "IXZZX", "XIXZZ"]
 
@@ -168,14 +176,36 @@ class TestDecoder:
         dec = synthesize_decoder(trivial_code())
         assert np.allclose(dec.to_matrix(), np.eye(2))
 
-    def test_maps_codeword_to_product_state(self):
-        code = five_qubit_code()
+    @pytest.mark.parametrize(
+        "builder", [five_qubit_code, steane_code, shor_code],
+        ids=["five-qubit", "steane", "shor"],
+    )
+    def test_maps_codeword_to_product_state(self, builder):
+        code = builder()
         u = synthesize_decoder(code).to_matrix()
-        assert np.allclose(u @ u.conj().T, np.eye(32), atol=1e-10)
+        dim = 2**code.n
+        assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-10)
         out = u @ encode_zero(code)
         assert abs(out[0]) == pytest.approx(1.0, abs=1e-10)
         out_one = u @ encode_one(code)
-        assert abs(out_one[16]) == pytest.approx(1.0, abs=1e-10)
+        assert abs(out_one[dim // 2]) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "builder", [five_qubit_code, steane_code, shor_code],
+        ids=["five-qubit", "steane", "shor"],
+    )
+    def test_conjugation_matches_dense(self, builder):
+        code = builder()
+        dec = synthesize_decoder(code)
+        u = dec.to_matrix()
+        rng = np.random.default_rng(11)
+        phased = [
+            Pauli.packed(code.n, p.x, p.z, int(rng.integers(4)))
+            for p in (random_pauli(rng, code.n) for _ in range(20))
+        ]
+        for p in (*dec.frame_in, *phased):
+            img = dec.conjugate(p)
+            assert np.allclose(u @ p.to_matrix() @ u.conj().T, img.to_matrix())
 
     def test_conjugation_of_first_generator(self):
         code = five_qubit_code()
@@ -183,19 +213,60 @@ class TestDecoder:
         m1 = code.stabilizer.generators[0]
         assert dec.conjugate(m1) == Pauli.from_string("IZIII")
 
-    def test_conjugation_matches_dense(self):
-        code = five_qubit_code()
-        dec = synthesize_decoder(code)
-        u = dec.to_matrix()
-        for p in code.stabilizer.generators + code.logical_x + code.logical_z:
-            img = dec.conjugate(p)
-            assert np.allclose(u @ p.to_matrix() @ u.conj().T, img.to_matrix())
-
     def test_logical_frame_images(self):
         code = five_qubit_code()
         dec = synthesize_decoder(code)
         assert dec.conjugate(code.logical_x[0]) == Pauli.from_string("XIIII")
         assert dec.conjugate(code.logical_z[0]) == Pauli.from_string("ZIIII")
+
+    def test_five_qubit_images_pinned(self):
+        dec = synthesize_decoder(five_qubit_code())
+        assert [p.to_string() for p in dec.image_x] == [
+            "XXIII", "XXXII", "XIXXI", "XIIXX", "XIIIX",
+        ]
+        assert [p.to_string() for p in dec.image_z] == [
+            "ZIYIY", "-ZZZXZ", "ZYIIY", "-ZZXZZ", "ZYIYI",
+        ]
+
+    @pytest.mark.parametrize(
+        "builder", [trivial_code, five_qubit_code, steane_code, shor_code],
+        ids=["trivial", "five-qubit", "steane", "shor"],
+    )
+    def test_one_elimination_per_destabilizer(self, builder, monkeypatch):
+        # the images come from the frame pairing; only the n-1
+        # destabilizers are solved for
+        calls = []
+        real = codes._rref
+        monkeypatch.setattr(
+            codes, "_rref", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        code = builder()
+        synthesize_decoder(code)
+        assert len(calls) == code.n - 1
+
+    def test_frozen_with_tuple_fields(self):
+        dec = synthesize_decoder(five_qubit_code())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.image_x = ()
+        assert all(
+            isinstance(getattr(dec, f), tuple)
+            for f in ("image_x", "image_z", "frame_in", "frame_out")
+        )
+
+    def test_codeword_without_all_zeros_component(self):
+        # |0bar> = |01>: the all-zeros ket is not in the code space
+        code = StabilizerCode(
+            n=2,
+            k=1,
+            stabilizer=StabilizerGroup(2, [Pauli.from_string("-ZZ")]),
+            logical_x=[Pauli.from_string("XX")],
+            logical_z=[Pauli.from_string("ZI")],
+        )
+        code.validate()
+        assert np.allclose(encode_zero(code), [0, 1, 0, 0], atol=1e-12)
+        u = synthesize_decoder(code).to_matrix()
+        assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
+        assert abs((u @ encode_zero(code))[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestOtherCodes:

@@ -90,6 +90,11 @@ class TestExtent:
         with pytest.raises(TilingError, match="extent"):
             build(L)
 
+    @pytest.mark.parametrize("L", [0, -5])
+    def test_direct_construction_refused(self, L):
+        with pytest.raises(TilingError, match="extent"):
+            Tiling(L, PLUS_OFFSETS, [(0, 0)])
+
 
 def _bfs_sublattice(a: int, b: int, L: int) -> set[tuple[int, int]]:
     """Reference: all integer combinations of (a, b) and (-b, a) on the
