@@ -26,6 +26,9 @@ from .pauli import Pauli, _pack
 _LOGICAL_NAMES = ("I", "X", "Y", "Z")
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
 NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
+# invariant code/family pairs come back onto the family within 1.2e-16; the
+# others (five-qubit bit-flip, Shor depolarizing) miss by >= 3.6e-3 at p >= 0.03
+FAMILY_INVARIANCE_ATOL = 1e-12
 
 
 class ChannelError(ValueError):
@@ -201,7 +204,7 @@ class FlowTrajectory:
     """Channel iterates with their quality values and the final verdict."""
 
     levels: list[tuple[int, PauliChannel, float]]
-    verdict: str  # converged-to-identity | converged-to-noise | max-iterations
+    verdict: str  # converged-to-{identity,noise,fixed-point} | max-iterations
 
 
 def flow(
@@ -213,7 +216,8 @@ def flow(
     """Iterate the effective channel until an attractor is resolved.
 
     Verdict is identity when the total error probability drops below tol,
-    noise when the quality stops decreasing while still far from identity.
+    noise when the quality stops decreasing while still far from identity,
+    fixed point when a level maps any other channel exactly onto itself.
     Raises ChannelError unless max_levels >= 0 and tol > 0.
     """
     if not max_levels >= 0:
@@ -232,6 +236,8 @@ def flow(
         stalled = abs(nxt.quality() - current.quality()) < tol
         if stalled and nxt.quality() < 1.0 - NOISE_QUALITY_MARGIN:
             return FlowTrajectory(levels, "converged-to-noise")
+        if nxt == current:
+            return FlowTrajectory(levels, "converged-to-fixed-point")
         current = nxt
     return FlowTrajectory(levels, "max-iterations")
 
@@ -245,6 +251,8 @@ def order_parameter(
         return 1
     if traj.verdict == "converged-to-noise":
         return 0
+    if traj.verdict == "converged-to-fixed-point":
+        raise ChannelError(f"flow stopped at the fixed channel {traj.levels[-1][1]}")
     raise IndeterminateFlowError(
         f"flow unresolved after {max_levels} levels (threshold proximity)"
     )
@@ -264,6 +272,16 @@ def threshold(
     Returns the bracket midpoint once the bracket is narrower than width.
     Raises ChannelError unless width > 0, and when the bracket can no longer
     be halved in floating point before reaching the width.
+
+    On a family the map keeps invariant (to FAMILY_INVARIANCE_ATOL at three
+    points of the bracket) the map is p -> g(p), with g(p) < p exactly on the
+    identity side of its unstable fixed point: one level decides each probe,
+    and flows at the final lo and hi confirm the bracket.  If the flow order
+    parameter is monotone on the bracket, every probe decided "lo" lies at or
+    below the final lo and every "hi" probe at or above the final hi, so
+    confirmed ends mean each decision, hence the result, is the flow's bit
+    for bit.  An end that disagrees or is indeterminate, or the float
+    resolution, redoes the bisection from p_lo, p_hi with a flow per probe.
     """
     if not p_lo < p_hi:
         raise ChannelError(f"invalid bracket ({p_lo}, {p_hi})")
@@ -273,23 +291,46 @@ def threshold(
         raise ChannelError(f"order parameter at p_lo={p_lo} is not 1")
     if order_parameter(code, family(p_hi), max_levels) != 0:
         raise ChannelError(f"order parameter at p_hi={p_hi} is not 0")
-    lo, hi = p_lo, p_hi
-    while hi - lo >= width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise ChannelError(
-                f"width {width} is below the float resolution of the bracket "
-                f"({lo}, {hi})"
+
+    def bisect(in_identity_basin) -> tuple[float, float]:
+        lo, hi = p_lo, p_hi
+        while hi - lo >= width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                raise ChannelError(
+                    f"width {width} is below the float resolution of the bracket "
+                    f"({lo}, {hi})"
+                )
+            try:
+                if in_identity_basin(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            except IndeterminateFlowError:
+                raise IndeterminateFlowError(
+                    f"indeterminate at p={mid} with bracket ({lo}, {hi})"
+                ) from None
+        return lo, hi
+
+    def flows_to_identity(p: float) -> bool:
+        return order_parameter(code, family(p), max_levels) == 1
+
+    # on a ChannelError (e.g. an image outside the family), flow every probe
+    try:
+        images = (effective_channel(code, family(p_lo + t * (p_hi - p_lo)))
+                  for t in (0.25, 0.5, 0.75))
+        if all(abs(a - b) <= FAMILY_INVARIANCE_ATOL for out in images
+               for a, b in zip(out.probs, family(out.error_probability()).probs)):
+            lo, hi = bisect(
+                lambda p: effective_channel(code, family(p)).error_probability() < p
             )
-        try:
-            if order_parameter(code, family(mid), max_levels) == 1:
-                lo = mid
-            else:
-                hi = mid
-        except IndeterminateFlowError:
-            raise IndeterminateFlowError(
-                f"indeterminate at p={mid} with bracket ({lo}, {hi})"
-            ) from None
+            if (lo == p_lo or flows_to_identity(lo)) and (
+                hi == p_hi or not flows_to_identity(hi)
+            ):
+                return 0.5 * (lo + hi)
+    except ChannelError:
+        pass
+    lo, hi = bisect(flows_to_identity)
     return 0.5 * (lo + hi)
 
 
@@ -359,6 +400,8 @@ def memory_support(
         return MemorySupport(INFINITE, None, traj.verdict)
     if traj.verdict == "max-iterations":
         raise IndeterminateFlowError("flow unresolved; memory support undefined")
+    if traj.verdict == "converged-to-fixed-point":
+        raise ChannelError(f"flow stopped at the fixed channel {traj.levels[-1][1]}")
     for r, _, q in traj.levels:
         if q < epsilon:
             return MemorySupport(float(code.n**r * L**d), r, traj.verdict)

@@ -9,8 +9,10 @@ artifacts; status lines and errors go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from ._lazy import lazy_import
@@ -57,12 +59,13 @@ def _csv_header(args: argparse.Namespace, seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -289,9 +292,9 @@ def cmd_dfs(args) -> int:
     return 0
 
 
-# Each scan point costs ~0.26 ms and writes ~2.4 kB of CSV, held in memory as
-# ~14 kB of strings until written (2-core Xeon): 10 000 points take ~2.6 s and
-# ~160 MB peak RSS, so 1e7 would take ~45 min and over 100 GB.
+# Each scan point costs ~0.15-0.26 ms and writes ~2.4 kB of CSV as it is
+# computed (2-core Xeon): 10 000 points take ~1.5-2.6 s and write 24 MB, so
+# 1e7 would take ~45 min and write 24 GB.
 SCAN_COUNT_CAP = 10_000
 
 
@@ -308,13 +311,11 @@ def cmd_logistic(args) -> int:
                 f"--scan-mu COUNT {count:g} exceeds the cap of {SCAN_COUNT_CAP} points"
             )
         mus = _linspace(mu_lo, mu_hi, int(count))
-        rows = logistic.bifurcation_scan(mus, kappa=params.kappa, n0=args.N0)
-        lines = [_csv_header(args).rstrip("\n"), "mu,tail_value"]
-        for mu, tail in rows:
-            for v in tail:
-                lines.append(f"{mu:.17g},{v:.17g}")
-        _write(args.out, "\n".join(lines) + "\n")
-        _status(f"bifurcation scan over {len(rows)} mu values")
+        rows = (logistic.bifurcation_scan([mu], kappa=params.kappa, n0=args.N0)[0]
+                for mu in mus)
+        lines = ("".join(f"{mu:.17g},{v:.17g}\n" for v in tail) for mu, tail in rows)
+        _write(args.out, itertools.chain([_csv_header(args), "mu,tail_value\n"], lines))
+        _status(f"bifurcation scan over {len(mus)} mu values")
         return 0
     orbit = logistic.map_orbit(params.mu, params.kappa, args.N0, args.steps)
     report = logistic.detect_cycle(orbit) if args.steps >= 1300 else None

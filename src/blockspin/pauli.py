@@ -148,7 +148,7 @@ class Pauli:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to a dense 2^n state vector without materializing the matrix."""
         idx = np.arange(2**self.n, dtype=np.int64)
-        signs = (-1.0) ** np.array([(i & self.z).bit_count() for i in range(2**self.n)])
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & self.z) & 1)
         out = np.empty_like(vec, dtype=complex)
         out[idx ^ self.x] = (1j**self.phase_exp) * signs * vec
         return out

@@ -2,13 +2,17 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockspin import channel
 from blockspin.channel import (
+    FAMILY_INVARIANCE_ATOL,
     ChannelError,
     IndeterminateFlowError,
     LogicalActionTable,
@@ -292,6 +296,210 @@ class TestFlow:
                 assert np.all(diffs >= -1e-12)
             else:
                 assert np.all(diffs <= 1e-12)
+
+
+class TestFixedPointVerdict:
+    """A deterministic logical Pauli is mapped exactly onto itself: the flow
+    stops after one level, and neither basin is claimed for it."""
+
+    CASES = list(itertools.product(("five-qubit", "steane"), "XYZ"))
+
+    @staticmethod
+    def _pauli_channel(letter):
+        probs = [0.0] * 4
+        probs["IXYZ".index(letter)] = 1.0
+        return PauliChannel(*probs)
+
+    @pytest.mark.parametrize("name, letter", CASES)
+    def test_flow_names_fixed_point(self, name, letter):
+        code, _, _ = _oracle_setup(name)
+        ch = self._pauli_channel(letter)
+        traj = flow(code, ch)
+        assert traj.verdict == "converged-to-fixed-point"
+        assert len(traj.levels) - 1 == 1
+        assert traj.levels[-1][1] == ch
+
+    @pytest.mark.parametrize("name, letter", CASES)
+    def test_order_parameter_and_memory_support_refuse(self, name, letter):
+        code, _, _ = _oracle_setup(name)
+        ch = self._pauli_channel(letter)
+        for call in (lambda: order_parameter(code, ch),
+                     lambda: memory_support(code, ch, 0.5)):
+            with pytest.raises(ChannelError, match="fixed channel") as info:
+                call()
+            assert not isinstance(info.value, IndeterminateFlowError)
+            assert repr(ch) in str(info.value)
+
+
+def _reference_threshold(code, family, p_lo, p_hi, width=1e-3, max_levels=200):
+    """The bisection that flows every probe to an attractor (the oracle for
+    `threshold`); it calls `channel.order_parameter` through the module, so
+    a monkeypatched counter sees its calls too."""
+    if not p_lo < p_hi:
+        raise ChannelError(f"invalid bracket ({p_lo}, {p_hi})")
+    if not width > 0:
+        raise ChannelError(f"width must be > 0, got {width}")
+    if channel.order_parameter(code, family(p_lo), max_levels) != 1:
+        raise ChannelError(f"order parameter at p_lo={p_lo} is not 1")
+    if channel.order_parameter(code, family(p_hi), max_levels) != 0:
+        raise ChannelError(f"order parameter at p_hi={p_hi} is not 0")
+    lo, hi = p_lo, p_hi
+    while hi - lo >= width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ChannelError(
+                f"width {width} is below the float resolution of the bracket "
+                f"({lo}, {hi})"
+            )
+        try:
+            if channel.order_parameter(code, family(mid), max_levels) == 1:
+                lo = mid
+            else:
+                hi = mid
+        except IndeterminateFlowError:
+            raise IndeterminateFlowError(
+                f"indeterminate at p={mid} with bracket ({lo}, {hi})"
+            ) from None
+    return 0.5 * (lo + hi)
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value, or the exact error class and message, of one call."""
+    try:
+        return fn(*args, **kwargs)
+    except ChannelError as exc:
+        return type(exc), str(exc)
+
+
+FAMILIES = {"depolarizing": PauliChannel.depolarizing, "bit-flip": PauliChannel.bit_flip}
+INVARIANT_PAIRS = [("five-qubit", "depolarizing"), ("steane", "depolarizing"),
+                   ("steane", "bit-flip"), ("shor", "bit-flip")]
+NON_INVARIANT_PAIRS = [("five-qubit", "bit-flip"), ("shor", "depolarizing")]
+
+
+def _brackets(seed, count):
+    """Brackets drawn as the benchmark's threshold jobs draw them."""
+    rng = random.Random(seed)
+    return [(round(rng.uniform(0.005, 0.03), 6), round(rng.uniform(0.2, 0.3), 6))
+            for _ in range(count)]
+
+
+@pytest.fixture
+def order_parameter_calls(monkeypatch):
+    calls = []
+    real = channel.order_parameter
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "order_parameter", counted)
+    return calls
+
+
+class TestThresholdReplay:
+    @pytest.mark.parametrize("width", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("pair", INVARIANT_PAIRS)
+    def test_bit_identical_to_flow_bisection(self, pair, width):
+        code, _, _ = _oracle_setup(pair[0])
+        family = FAMILIES[pair[1]]
+        for p_lo, p_hi in _brackets(f"{pair} {width}", 3):
+            got = _outcome(threshold, code, family, p_lo, p_hi, width=width)
+            want = _outcome(_reference_threshold, code, family, p_lo, p_hi, width=width)
+            assert got == want, (p_lo, p_hi)
+
+    @pytest.mark.parametrize("max_levels", [1, 5, 200])
+    @pytest.mark.parametrize("pair", [("five-qubit", "depolarizing"), ("steane", "bit-flip")])
+    def test_level_cap_gives_the_same_value_or_error(self, pair, max_levels):
+        code, _, _ = _oracle_setup(pair[0])
+        family = FAMILIES[pair[1]]
+        for p_lo, p_hi in [(0.01, 0.25), *_brackets(max_levels, 2)]:
+            args = (code, family, p_lo, p_hi)
+            kwargs = {"width": 1e-9, "max_levels": max_levels}
+            assert _outcome(threshold, *args, **kwargs) == _outcome(
+                _reference_threshold, *args, **kwargs)
+
+    @pytest.mark.parametrize("pair", INVARIANT_PAIRS)
+    def test_float_resolution_error_unchanged(self, pair):
+        code, _, _ = _oracle_setup(pair[0])
+        args = (code, FAMILIES[pair[1]], 0.01, 0.3)
+        got = _outcome(threshold, *args, width=1e-20)
+        assert got == _outcome(_reference_threshold, *args, width=1e-20)
+        assert got[0] is ChannelError and "float resolution" in got[1]
+
+    @pytest.mark.parametrize("pair", INVARIANT_PAIRS)
+    def test_invariant_family_flows_only_the_ends(self, pair, order_parameter_calls):
+        code, _, _ = _oracle_setup(pair[0])
+        threshold(code, FAMILIES[pair[1]], 0.01, 0.25, width=1e-9)
+        assert len(order_parameter_calls) == 4  # two endpoints, two confirmations
+
+    @pytest.mark.parametrize("pair", NON_INVARIANT_PAIRS)
+    def test_non_invariant_family_flows_every_probe(self, pair, order_parameter_calls):
+        code, _, _ = _oracle_setup(pair[0])
+        family = FAMILIES[pair[1]]
+        p_star = threshold(code, family, 0.01, 0.25, width=1e-6)
+        probes = list(order_parameter_calls)
+        order_parameter_calls.clear()
+        assert p_star == _reference_threshold(code, family, 0.01, 0.25, width=1e-6)
+        assert probes == order_parameter_calls
+        assert len(probes) == 2 + math.ceil(math.log2(0.24 / 1e-6))
+
+    @pytest.mark.parametrize("pair", INVARIANT_PAIRS + NON_INVARIANT_PAIRS)
+    def test_invariance_gap_far_from_the_tolerance(self, pair):
+        """One level misses an invariant family by rounding only and a
+        non-invariant one by far more than FAMILY_INVARIANCE_ATOL."""
+        code, _, _ = _oracle_setup(pair[0])
+        family = FAMILIES[pair[1]]
+        for p in (0.03 + 0.01 * i for i in range(28)):
+            out = effective_channel(code, family(p))
+            back = family(out.error_probability())
+            gap = max(abs(a - b) for a, b in zip(out.probs, back.probs))
+            if pair in INVARIANT_PAIRS:
+                assert gap <= 2 * 2.0**-53 < FAMILY_INVARIANCE_ATOL, (p, gap)
+            else:
+                assert gap >= 3.6e-3 > FAMILY_INVARIANCE_ATOL, (p, gap)
+
+    def test_wrong_replay_is_redone_with_flows(self, monkeypatch, order_parameter_calls):
+        """A level map that misjudges every probe near p* in the replay (but
+        not inside flows) fails the confirmation; the redo flows every probe
+        and returns the reference value."""
+        code, _, _ = _oracle_setup("steane")
+        family = PauliChannel.depolarizing
+        p_star = PINNED_P_STAR["steane", "depolarizing"]
+        real = channel.effective_channel
+
+        def misjudging(code, ch):
+            out = real(code, ch)
+            p = ch.error_probability()
+            if sys._getframe(1).f_code.co_name != "flow" and abs(p - p_star) < 1e-3:
+                return family(2 * p - out.error_probability())  # g(p) - p flips sign
+            return out
+
+        monkeypatch.setattr(channel, "effective_channel", misjudging)
+        got = threshold(code, family, 0.01, 0.25, width=1e-9)
+        monkeypatch.setattr(channel, "effective_channel", real)
+        calls = list(order_parameter_calls)
+        order_parameter_calls.clear()
+        assert got == _reference_threshold(code, family, 0.01, 0.25, width=1e-9)
+        assert got == p_star
+        # the endpoints, one or two failed confirmations, then the reference probes
+        ref = order_parameter_calls
+        assert calls[:2] == ref[:2] and calls[-(len(ref) - 2):] == ref[2:]
+        assert len(calls) - len(ref) in (1, 2)
+
+    def test_steane_call_count(self, monkeypatch):
+        code, _, _ = _oracle_setup("steane")
+        calls = []
+        real = channel.effective_channel
+
+        def counted(code, ch):
+            calls.append(ch)
+            return real(code, ch)
+
+        monkeypatch.setattr(channel, "effective_channel", counted)
+        p = threshold(code, PauliChannel.depolarizing, 0.01, 0.25, width=1e-9)
+        assert p == PINNED_P_STAR["steane", "depolarizing"]
+        assert len(calls) <= 150  # a flow per probe makes 683
 
 
 class TestOrderParameterAndThreshold:

@@ -181,6 +181,33 @@ class TestArtifacts:
         doc = json.loads(out.read_text())
         assert doc["size"] == "INFINITE"
 
+    @pytest.mark.parametrize("probs", ["0,1,0,0", "0,0,1,0", "0,0,0,1"])
+    def test_memory_support_of_a_fixed_logical_pauli_refused(self, probs, tmp_path, capsys):
+        out = tmp_path / "ms.json"
+        argv = ["memory-support", "--channel", probs, "--epsilon", "0.5", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "fixed channel" in err and "unresolved" not in err
+        assert not out.exists()
+
+    def test_scan_streams_the_lines_it_used_to_join(self, tmp_path, capsys):
+        from blockspin.cli import _csv_header, _linspace, build_parser
+        from blockspin.logistic import LogisticParams, bifurcation_scan
+
+        argv = ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu", "2.8", "3.6", "7"]
+        out = tmp_path / "scan.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        lines = [_csv_header(build_parser().parse_args(argv)).rstrip("\n"), "mu,tail_value"]
+        kappa = LogisticParams(r=1.0, K=1.0, dt=1.0).kappa
+        for mu, tail in bifurcation_scan(_linspace(2.8, 3.6, 7), kappa=kappa, n0=0.5):
+            lines.extend(f"{mu:.17g},{v:.17g}" for v in tail)
+        assert stdout == "\n".join(lines) + "\n"
+        # the file's header differs from stdout's only in the --out it records
+        assert out.read_text().splitlines()[4:] == stdout.splitlines()[4:]
+
     def test_dfs_blocks(self, tmp_path):
         out = tmp_path / "dfs.json"
         run(["dfs", "--qubits", "3", "--out", str(out)])

@@ -320,10 +320,12 @@ class TestTextForm:
 class TestApply:
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = random_pauli(rng, 4)
-            v = rng.normal(size=16) + 1j * rng.normal(size=16)
-            assert np.allclose(p.apply(v), p.to_matrix() @ v)
+        for n in range(1, 7):
+            paulis = [random_pauli(rng, n) for _ in range(20)]
+            assert {p.phase_exp for p in paulis} == {0, 1, 2, 3}
+            for p in paulis:
+                v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                assert np.allclose(p.apply(v), p.to_matrix() @ v)
 
 
 class TestFrozenGroup:
