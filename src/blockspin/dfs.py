@@ -8,14 +8,16 @@ a subsystem otherwise.  The dynamics, not the analyst, choose the code.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from ._numpy import np
 
 DIM_CAP = 64  # collective noise on n = 6 qubits
-# commutant unknowns: 924 for collective noise on 6 qubits, and every input of
-# dimension <= 32 fits; a 1024-unknown Gram is 17 MB and its eigh ~1 s, while
-# 4096 (the identity alone at dimension 64) needs 270 MB and about a minute
+# commutant unknowns: 400 for collective noise on 6 qubits, and every input of
+# dimension <= 32 fits; on 2 shared cores the eigh of a 1024-unknown Gram
+# (17 MB) takes 0.5 s and of a 2048 one 4 s, so 4096 (the identity alone at
+# dimension 64) would need 270 MB per matrix and about half a minute
 MAX_UNKNOWNS = 1024
 # Gram eigenvalues are squared singular values of the commutator constraints,
 # so the cut is relative to 4 tr S, which bounds the largest of them and stays
@@ -38,14 +40,16 @@ class AlgebraError(ValueError):
     """Raised on dimension overflow or irresolvable numerical degeneracy."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorSet:
-    """Generators of an interaction algebra on a dim-dimensional space."""
+    """Generators of an interaction algebra on a dim-dimensional space;
+    frozen, with the generators as a tuple (any iterable is accepted)."""
 
     dim: int
-    generators: list[np.ndarray]
+    generators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
         if self.dim > DIM_CAP:
             raise AlgebraError(f"dimension {self.dim} exceeds cap {DIM_CAP}")
         if not self.generators:
@@ -55,17 +59,20 @@ class OperatorSet:
                 raise AlgebraError("generator shape mismatch")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
     irrep_dim: int        # d_i
     multiplicity: int     # m_i
     isometry: np.ndarray  # dim x (d_i * m_i), columns ordered (irrep, copy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraDecomposition:
     dim: int
-    blocks: list[Block]
+    blocks: tuple[Block, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @property
     def algebra_dim(self) -> int:
@@ -79,16 +86,35 @@ class AlgebraDecomposition:
         return sum(b.irrep_dim * b.multiplicity for b in self.blocks) == self.dim
 
 
+def _eigenclusters(gens: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eigenbasis V of h1 + h2^2 and the index clusters of its spectrum.
+
+    h1, h2: generators and adjoints with complex weights (keeping Hermitian
+    and anti-Hermitian parts), each of unit Frobenius norm so neither swamps
+    the other (unit spectral norm makes h1 + h2^2 singular on the 4-qubit
+    spin-2 irrep, as on the singlets).  Of degree 2, h1 + h2^2 splits
+    inequivalent irreps that share degree-1 spectra, as spin-j irreps do.
+    """
+    rng = random.Random(0)
+    ms = [_random_element(gens, rng) for _ in range(2)]
+    h1, h2 = (h / (np.linalg.norm(h) or 1.0) for h in (m + m.conj().T for m in ms))
+    evals, v = np.linalg.eigh(h1 + h2 @ h2)
+    # relative gaps, so the clusters do not depend on the generators' units
+    evals /= np.abs(evals).max() or 1.0
+    splits = np.flatnonzero(np.diff(evals) >= CLUSTER_AMBIGUOUS) + 1
+    return v, np.split(np.arange(len(evals)), splits)
+
+
 def commutant(generators: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of the operators commuting with the generators and
     their adjoints: the commutant of the *-algebra they generate.
 
-    Every commutant element commutes with H = M + M^+, M a complex combination
-    of the generators, so in H's eigenbasis V it is block-diagonal over H's
-    eigenvalue clusters; only those entries X[i, k] are unknowns (merging
-    clusters adds unknowns but stays exact).  For matrix units E_u = |i_u><k_u|
-    the Gram of the constraints [E_u, h] = 0, over h in the generators and
-    their adjoints written in V's basis and S = sum_h h^+ h, is
+    Every commutant element commutes with an element of that algebra, so in
+    the eigenbasis V of `_eigenclusters` only the entries X[i, k] within one
+    eigenvalue cluster are unknowns (merging clusters adds unknowns but stays
+    exact).  For matrix units E_u = |i_u><k_u| the Gram of the constraints
+    [E_u, h] = 0, over h in the generators and their adjoints written in V's
+    basis and S = sum_h h^+ h, is
 
         G[u, v] = [i_u = i_v] conj(S[k_u, k_v]) + [k_u = k_v] S[i_u, i_v]
                   - 2 sum_h h[i_u, i_v] conj(h[k_u, k_v])
@@ -97,15 +123,7 @@ def commutant(generators: list[np.ndarray]) -> list[np.ndarray]:
     """
     dim = generators[0].shape[0]
     gens = [g.astype(complex) for g in generators]
-    # complex weights keep each generator's Hermitian and anti-Hermitian part,
-    # so a generic draw has the smallest eigenspaces and the fewest unknowns
-    rng = np.random.default_rng(0)
-    m = sum(complex(*rng.normal(size=2)) * g for g in gens)
-    evals, v = np.linalg.eigh(m + m.conj().T)
-    # relative gaps, so the clusters do not depend on the generators' units
-    evals /= np.abs(evals).max() or 1.0
-    splits = np.flatnonzero(np.diff(evals) >= CLUSTER_AMBIGUOUS) + 1
-    clusters = np.split(np.arange(dim), splits)
+    v, clusters = _eigenclusters(gens)
     unknowns = sum(len(c) ** 2 for c in clusters)
     if unknowns > MAX_UNKNOWNS:
         raise AlgebraError(f"{unknowns} commutant unknowns exceed cap {MAX_UNKNOWNS}")
@@ -134,15 +152,14 @@ def _cluster(values: np.ndarray) -> list[np.ndarray]:
     return np.split(np.arange(len(values)), np.flatnonzero(gaps >= CLUSTER_TOL) + 1)
 
 
-def _random_element(basis: list[np.ndarray], rng) -> np.ndarray:
-    coef = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    return sum(c * b for c, b in zip(coef, basis))
+def _random_element(basis: list[np.ndarray], rng: random.Random) -> np.ndarray:
+    return sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * b for b in basis)
 
 
 def decompose(ops: OperatorSet, seed: int = 2024) -> AlgebraDecomposition:
     """Isotypic block decomposition from two random commutant elements.
 
-    Deterministic given seed.  The eigenspaces of a random Hermitian
+    Deterministic given seed (>= 0).  The eigenspaces of a random Hermitian
     commutant element are the irreducible copies.  A second random commutant
     element K couples copies a and b (Q_b^+ K Q_a != 0) only when they carry
     equivalent irreps, and then Q_b^+ K Q_a is a scalar times a unitary
@@ -151,7 +168,9 @@ def decompose(ops: OperatorSet, seed: int = 2024) -> AlgebraDecomposition:
     ordered (irrep, copy).  Murota, Kanno, Kojima & Kojima, Japan J. Indust.
     Appl. Math. 27 (2010).
     """
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise AlgebraError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
     basis = commutant(ops.generators)
     herm = _random_element(basis, rng)
     evals, evecs = np.linalg.eigh(herm + herm.conj().T)
@@ -189,7 +208,7 @@ def decompose(ops: OperatorSet, seed: int = 2024) -> AlgebraDecomposition:
     return dec
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiselessBlock:
     block_index: int
     protected_dim: int

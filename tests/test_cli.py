@@ -43,6 +43,24 @@ class TestExitCodes:
         assert run(["dfs", "--qubits", "-1"]) == 2
         assert "qubit count" in capsys.readouterr().err
 
+    def test_dfs_negative_seed_refused(self, capsys):
+        assert run(["dfs", "--qubits", "4", "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["toric"], ["code", "--code", "toric"]], ids=["toric", "code"]
+    )
+    def test_oversized_toric_lattice_refused_at_once(self, argv, monkeypatch, capsys):
+        codes = importlib.import_module("blockspin.codes")
+
+        def no_generator(*args):
+            raise AssertionError("a toric generator was built")
+
+        monkeypatch.setattr(codes, "toric_site_generator", no_generator)
+        monkeypatch.setattr(codes, "toric_plaquette_generator", no_generator)
+        assert run([*argv, "--L", str(10**6), "--out", "-"]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("count", ["inf", "nan", "2.5"])
     def test_logistic_scan_count_must_be_whole(self, count, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -350,6 +350,13 @@ class TestToric:
         assert not commutes(code.logical_x[1], code.logical_z[1])
         assert commutes(code.logical_x[0], code.logical_z[1])
 
+    def test_lattice_cap_boundary(self):
+        L = codes.TORIC_L_CAP
+        assert L >= 33  # the entropy scan's closed-form oracle runs to L = 33
+        assert toric_code(L).n == 2 * L * L
+        with pytest.raises(CodeError, match=f"L={L + 1} exceeds cap {L}"):
+            toric_code(L + 1)
+
 
 class TestTileHamiltonian:
     def test_single_term(self):

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ from blockspin.dfs import (
     AlgebraError,
     Block,
     OperatorSet,
+    _eigenclusters,
     algebra_closure,
     block_diagonal_residual,
     collective_noise_generators,
@@ -85,6 +87,24 @@ class TestCommutant:
         gens = [-1j * g for g in collective_noise_generators(6).generators]
         assert len(commutant(gens)) == 132  # 1 + 81 + 25 + 25
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_schur_weyl_unknown_count(self, n):
+        # a degree-1 element leaves C(2n, n) unknowns: its eigenvalue m is
+        # shared by every spin j >= |m|; a degree-2 one splits the spins
+        _, clusters = _eigenclusters(collective_noise_generators(n).generators)
+        assert sum(len(c) ** 2 for c in clusters) == sum(
+            d * m * m for d, m in schur_weyl_blocks(n)
+        )
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rescaled_generators_same_clusters(self, n, factor):
+        gens = collective_noise_generators(n).generators
+        scaled = [factor * g for g in gens]
+        sizes = [[len(c) for c in _eigenclusters(x)[1]] for x in (gens, scaled)]
+        assert sizes[0] == sizes[1]
+        assert len(commutant(scaled)) == len(commutant(gens))
+
 
 def schur_weyl_blocks(n: int) -> list[tuple[int, int]]:
     """(2j+1, C(n, n/2-j) - C(n, n/2-j-1)) for each total spin j of n qubits."""
@@ -160,6 +180,54 @@ def spectra(mats):
     return [np.sort_complex(np.linalg.eigvals(x)) for x in (*mats, mats[0] @ mats[1])]
 
 
+def dense_commutant(generators: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal rows spanning the flattened X with [X, g] = [X, g^+] = 0,
+    from the SVD of the stacked g (x) I - I (x) g^T (row-major flattening)."""
+    dim = generators[0].shape[0]
+    eye = np.eye(dim)
+    stacked = np.concatenate([
+        np.kron(h, eye) - np.kron(eye, h.T)
+        for g in generators
+        for h in (g, g.conj().T)
+    ])
+    _, s, vh = np.linalg.svd(stacked)
+    return vh[s <= 1e-9 * s.max()].conj()
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(7)
+    cases = {
+        "zero": [np.zeros((2, 2), dtype=complex)],
+        "scalar": [np.eye(4, dtype=complex)],
+        "paulis": [2 * SX, 2 * SZ],
+        "full-3": full_matrix_algebra(3).generators,
+        "generic-8": [rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))],
+        "skew-collective-3": [-1j * g for g in collective_noise_generators(3).generators],
+        "star-8": random_star_algebra(rng, [(2, 2), (1, 3), (1, 1)])[0].generators,
+    }
+    for n in (1, 2, 3):
+        cases[f"collective-{n}"] = collective_noise_generators(n).generators
+    for seed in (1, 2, 3):
+        isotypes = [(3, 2), (3, 1), (2, 3), (1, 2)]
+        cases[f"star-17-{seed}"] = random_star_algebra(
+            np.random.default_rng(100 + seed), isotypes
+        )[0].generators
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("gens", ORACLE_CASES.values(), ids=ORACLE_CASES)
+def test_commutant_span_matches_dense_null_space(gens):
+    want = dense_commutant(gens)
+    got = np.stack([c.reshape(-1) for c in commutant(gens)])
+    assert got.shape == want.shape
+    # equal projectors: the same subspace, and both bases orthonormal
+    assert np.allclose(got.conj() @ got.T, np.eye(len(got)), atol=1e-10)
+    assert np.allclose(got.T @ got.conj(), want.T @ want.conj(), atol=1e-8)
+
+
 class TestDecompose:
     def test_three_qubit_blocks(self):
         dec = decompose(collective_noise_generators(3))
@@ -206,6 +274,11 @@ class TestDecompose:
         assert found == schur_weyl_blocks(n)
         assert block_diagonal_residual(dec, scaled) < 1e-8
 
+    def test_negative_seed_refused(self):
+        # random.Random(-1) would reuse seed 1's stream
+        with pytest.raises(AlgebraError, match="seed must be >= 0, got -1"):
+            decompose(collective_noise_generators(3), seed=-1)
+
     def test_too_many_unknowns_refused_at_once(self):
         # the identity leaves all 64^2 entries unknown
         with pytest.raises(AlgebraError, match="unknowns exceed cap"):
@@ -232,11 +305,31 @@ class TestResidual:
     def test_unaligned_copies_show(self):
         ops = collective_noise_generators(3)
         dec = decompose(ops)
-        b = next(b for b in dec.blocks if b.multiplicity == 2)
         # reorder the columns (irrep, copy) -> (copy, irrep): still
         # block-diagonal, but the generators now read I_m (x) A
-        b.isometry = b.isometry.reshape(8, 2, 2).transpose(0, 2, 1).reshape(8, 4)
-        assert block_diagonal_residual(dec, ops) > 0.1
+        blocks = [
+            replace(b, isometry=b.isometry.reshape(8, 2, 2).transpose(0, 2, 1).reshape(8, 4))
+            if b.multiplicity == 2 else b
+            for b in dec.blocks
+        ]
+        assert block_diagonal_residual(replace(dec, blocks=blocks), ops) > 0.1
+
+
+class TestFrozen:
+    def test_value_types_are_frozen_with_tuple_fields(self):
+        ops = OperatorSet(2, iter([np.eye(2, dtype=complex)]))
+        dec = decompose(ops)
+        assert isinstance(ops.generators, tuple)
+        assert isinstance(AlgebraDecomposition(dec.dim, list(dec.blocks)).blocks, tuple)
+        fields = [
+            (ops, "generators"),
+            (dec, "blocks"),
+            (dec.blocks[0], "multiplicity"),
+            (find_noiseless(dec)[0], "protected_dim"),
+        ]
+        for obj, name in fields:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
 
 
 class TestNoiseless:

@@ -209,6 +209,9 @@ def test_numpy_work_runs_in_a_fresh_interpreter():
         "from blockspin import cli\n"
         "assert cli.main(['dfs', '--qubits', '3']) == 0\n"
         "assert 'numpy.linalg' in sys.modules\n"
+        # numpy.random pulls in secrets, hmac and OpenSSL: most of a dfs
+        # job's peak RSS, for a few dozen draws that `random` makes
+        "assert 'numpy.random' not in sys.modules\n"
     )
     proc = fresh(code)
     assert proc.returncode == 0, proc.stderr
