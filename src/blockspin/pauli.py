@@ -212,12 +212,21 @@ class StabilizerGroup:
     def canonical_rows(self) -> tuple[tuple[int, int], ...]:
         """The phased RREF (_rref) of the generators as (row, phase) pairs;
         raises MinusIdentityError when a leftover zero row carries a nonzero
-        phase."""
-        gens = self.generators
-        basis, rest = _rref([g.row for g in gens], [g.phase_exp for g in gens], self.n)
-        if any(e for _, e in rest):
+        phase or a row is not Hermitian (its square is -I), so each row g
+        returned has g^-1 = g."""
+        gens, n = self.generators, self.n
+        basis, rest = _rref([g.row for g in gens], [g.phase_exp for g in gens], n)
+        # i^e X^x Z^z is Hermitian iff e = popcount(x & z) mod 2
+        if rest or any((e - (r & r >> n).bit_count()) % 2 for r, e in basis):
             raise MinusIdentityError("group contains a nontrivial multiple of identity")
         return tuple(basis)
+
+
+def _product(p: int, pe: int, q: int, qe: int, n: int) -> tuple[int, int]:
+    """Row and phase of the product p*q of the n-qubit Paulis with packed rows
+    p, q and phase exponents pe, qe: phase(p) + phase(q) + 2 popcount(z_p &
+    x_q) mod 4, as in `multiply`.  q >> n holds x_q in the z columns."""
+    return p ^ q, (pe + qe + 2 * (p & q >> n).bit_count()) % 4
 
 
 def _rref(
@@ -232,30 +241,34 @@ def _rref(
     added into every other row holding it, earlier pivot rows included.
 
     With phases, row i is the n-qubit Pauli i^phases[i] X^x Z^z and adding
-    pivot p into row q is the product p*q, whose phase follows `multiply`:
-    phase(p) + phase(q) + 2 popcount(z_p & x_q) mod 4.
+    pivot p into row q is the product p*q (`_product`).  A zero row with a
+    zero phase is dropped as soon as it appears.
 
     Returns (basis, rest) as (row, phase) pairs: basis holds the nonzero RREF
-    rows by increasing pivot column, rest the zero rows left over.  For a
+    rows by increasing pivot column, rest the zero rows left over with a
+    nonzero phase, which name nontrivial multiples of I.  For a
     fixed column order the RREF of a row space is unique, so the basis does
     not depend on the generating set.  Each basis row is a group element,
     and when the group holds no nontrivial multiple of I its phase is fixed
     by its bits, so the phases are unique as well.
     """
-    zmask = (1 << n) - 1
-    rest = list(zip(rows, phases or [0] * len(rows)))
+    rest = [(r, e) for r, e in zip(rows, phases or [0] * len(rows)) if r or e]
     basis: list[tuple[int, int]] = []
     while lead := max((r for r, _ in rest), default=0).bit_length():
         bit = 1 << (lead - 1)
         pivot, phase = rest.pop(next(i for i, (r, _) in enumerate(rest) if r & bit))
-        pivot_z = pivot & zmask
 
         def add(row: int, e: int) -> tuple[int, int]:
-            if phases is not None:
-                e = (phase + e + 2 * (pivot_z & (row >> n)).bit_count()) % 4
-            return row ^ pivot, e
+            if phases is None:
+                return row ^ pivot, 0
+            return _product(pivot, phase, row, e, n)
 
-        rest = [add(r, e) if r & bit else (r, e) for r, e in rest]
+        # only a row equal to the pivot reduces to zero
+        rest = [
+            add(r, e) if r & bit else (r, e)
+            for r, e in rest
+            if r != pivot or add(r, e)[1]
+        ]
         basis = [add(r, e) if r & bit else (r, e) for r, e in basis]
         basis.append((pivot, phase))
     return basis, rest
@@ -291,14 +304,10 @@ def contains(group: StabilizerGroup, p: Pauli) -> tuple[str, int]:
     """
     if p.n != group.n:
         raise PauliError(f"length mismatch: {p.n} vs {group.n}")
-    n = group.n
-    zmask = (1 << n) - 1
     r, e = p.row, p.phase_exp
     for g, ge in group.canonical_rows:
         if r >> (g.bit_length() - 1) & 1:
-            # r <- g^-1 r, where g^-1 = i^(-ge - 2 popcount(x_g & z_g)) g bits
-            inv = -ge - 2 * (g & zmask & (g >> n)).bit_count()
-            r, e = r ^ g, (inv + e + 2 * (g & zmask & (r >> n)).bit_count()) % 4
+            r, e = _product(g, ge, r, e, group.n)  # g^-1 r, as g^-1 = g
     if r:
         return "not_member", 0
     if e == 0:
@@ -321,25 +330,24 @@ def stabilizer_entropy(
     S(A) = |A| - log2 |S_A| with S_A the subgroup supported inside A;
     log2 |S_A| = rank(G) - rank(G restricted to the complement of A).
     """
-    return _region_entropies(n, generators, [region])[0]
+    return _region_entropies(StabilizerGroup(n, generators), [region])[0]
 
 
 def _region_entropies(
-    n: int, generators: Sequence[Pauli], regions: Iterable[Iterable[int]]
+    group: StabilizerGroup, regions: Iterable[Iterable[int]]
 ) -> list[int]:
-    """stabilizer_entropy of each region, with one purity check for all.
+    """stabilizer_entropy of each region of the group's state.
 
-    For a pure state S(A) = |A| - n + rank(G|_complement) = rank(G|_A) - |A|
-    (Fattal et al., quant-ph/0406168), and S(A) = S(complement), so each
-    region is restricted to the smaller of A and its complement: the rows
-    are masked to its X and Z columns.  On a single qubit q, rank(G|_q) is
-    the number of distinct nonzero (x_q, z_q) pairs among the rows, capped
-    at 2, which needs no elimination.
+    The state is pure when the group's canonical rows number n.  Then
+    S(A) = |A| - n + rank(G|_complement) = rank(G|_A) - |A| (Fattal et al.,
+    quant-ph/0406168), and S(A) = S(complement), so each region is
+    restricted to the smaller of A and its complement: the rows are masked
+    to its X and Z columns.
     """
-    rows = [g.row for g in generators]
-    full_rank = gf2_rank(rows)
-    if full_rank != n:
-        raise ValueError(f"state is not pure: rank {full_rank} != {n}")
+    n = group.n
+    if (rank := len(group.canonical_rows)) != n:
+        raise ValueError(f"state is not pure: rank {rank} != {n}")
+    rows = [g.row for g in group.generators]
     out = []
     for region in regions:
         side = sorted(set(region))
@@ -349,11 +357,7 @@ def _region_entropies(
             inside = set(side)
             side = [q for q in range(n) if q not in inside]
         mask = sum(1 << (2 * n - 1 - q) | 1 << (n - 1 - q) for q in side)
-        if len(side) == 1:
-            rank = min(len({r & mask for r in rows} - {0}), 2)
-        else:
-            rank = gf2_rank([r & mask for r in rows])
-        out.append(rank - len(side))
+        out.append(gf2_rank([r & mask for r in rows]) - len(side))
     return out
 
 

@@ -18,6 +18,7 @@ class TilingError(ValueError):
 
 PLUS_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))  # center, N, E, S, W
 BRICK_OFFSETS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
+SVG_CELL = 24  # pixels per lattice site
 
 
 @dataclass(frozen=True)
@@ -261,10 +262,10 @@ def concatenate_tiling(t: Tiling, levels: int) -> ConcatenatedTiling:
     return ConcatenatedTiling(base=t, levels=levels, addresses=addresses)
 
 
-def render_svg(t: Tiling, cell: int = 24) -> str:
+def render_svg(t: Tiling) -> str:
     """SVG picture: tiles as colored unit squares, centers as rings, and the
     rescaled lattice as overlay lines."""
-    L = t.L
+    L, cell = t.L, SVG_CELL
     size = L * cell
     palette = [
         "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3",

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -260,3 +261,37 @@ class TestDeterminism:
                  "--out", str(tmp_path / "t.json")])
             svgs.append(path.read_bytes())
         assert svgs[0] == svgs[1]
+
+
+class TestGoldenArtifacts:
+    """SHA-256 of artifacts whose bytes must not change: the toric scan and
+    structure lines with the support SVG, and a tiling picture."""
+
+    TORIC = {
+        3: (
+            "0717a35cafc0df710812571298b11d02814db841a53f80b28bac5f9408ce16b2",
+            "f96002e7f66fad645929909b46ba29c1a2acb2245f29fcde6aac625bc7ff587d",
+        ),
+        5: (
+            "284a2c6ada91766f6fc85708c0891afbf68735974b5d90717ad5023ef4c408a1",
+            "d28e7fa552b44874d4a03cbfa4338a15d621fac7cb3faba584530d973048131d",
+        ),
+        9: (
+            "8367682d9b770c4f0bb11f416314a2292b62b48d5b0f936843862078bf938ab4",
+            "7a109e64b6c3e07254e3dc5dd3cfd2639375371a7c0f6325b471991076947ccf",
+        ),
+    }
+    TILING_25_SVG = "33b41b0754ac88aef068e1dd4053849a8b2223d67de16d20e3acbef31c75da7c"
+
+    @pytest.mark.parametrize("side", sorted(TORIC))
+    def test_toric(self, side, tmp_path, capsys):
+        svg = tmp_path / "toric.svg"
+        assert run(["toric", "--L", str(side), "--svg", str(svg)]) == 0
+        out = capsys.readouterr().out.encode()
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (out, svg.read_bytes()))
+        assert digests == self.TORIC[side]
+
+    def test_tiling_svg(self, tmp_path):
+        svg, out = tmp_path / "tiling.svg", tmp_path / "t.json"
+        assert run(["tiling", "--L", "25", "--svg", str(svg), "--out", str(out)]) == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == self.TILING_25_SVG

@@ -133,6 +133,18 @@ class TestCanonicalize:
         with pytest.raises(MinusIdentityError):
             canonicalize(g)
 
+    @pytest.mark.parametrize("gens", [["iZ"], ["iZZ", "XX"]])
+    def test_non_hermitian_generator_refused(self, gens):
+        # (iZ)^2 = -I: a group with a non-Hermitian member stabilizes no state
+        ps = [Pauli.from_string(s) for s in gens]
+        n = ps[0].n
+        with pytest.raises(MinusIdentityError):
+            canonicalize(StabilizerGroup(n, ps))
+        with pytest.raises(MinusIdentityError):
+            contains(StabilizerGroup(n, ps), Pauli.identity(n))
+        with pytest.raises(MinusIdentityError):
+            stabilizer_entropy(n, ps, [0])
+
 
 def FIVE_QUBIT_GENS_P():
     return [Pauli.from_string(s) for s in FIVE_QUBIT_GENS]
@@ -285,7 +297,7 @@ class TestKernelOracles:
                 if not any(x[q] or z[q] for q in outside)
             )
             expected.append(len(region) - int(np.log2(local)))
-        assert _region_entropies(n, gens, regions) == expected
+        assert _region_entropies(StabilizerGroup(n, gens), regions) == expected
         assert [stabilizer_entropy(n, gens, r) for r in regions] == expected
 
     @pytest.mark.parametrize("region", [[-1], [0, 3]])
@@ -293,6 +305,10 @@ class TestKernelOracles:
         gens = [Pauli.from_string("ZI"), Pauli.from_string("IZ")]
         with pytest.raises(ValueError, match="region qubits"):
             stabilizer_entropy(2, gens, region)
+
+    def test_entropy_rejects_a_mixed_state(self):
+        with pytest.raises(ValueError, match="state is not pure: rank 1 != 2"):
+            stabilizer_entropy(2, [Pauli.from_string("ZI")], [0])
 
     @given(st.integers(0, 6), st.integers(0, 8), st.data())
     @settings(max_examples=150, deadline=None)

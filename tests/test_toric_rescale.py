@@ -140,12 +140,35 @@ class TestCardinalityScan:
         assert sizes[0] == 0 or sizes[0] >= 0
 
     def test_csv_export(self):
-        scan = cardinality_scan(STATE)
-        text = scan.to_csv()
-        assert text.splitlines()[0] == (
-            "region_size,entropy_bits,internal_correlation_bits"
+        assert cardinality_scan(STATE).to_csv() == (
+            "region_size,entropy_bits,internal_correlation_bits\n"
+            "0,0,0\n4,3,1\n12,7,5\n24,11,13\n40,9,31\n50,0,50\n"
         )
-        assert len(text.splitlines()) == len(scan.rows) + 1
+
+    def test_results_are_frozen(self):
+        scan = cardinality_scan(STATE)
+        assert isinstance(scan.rows, tuple)
+        for result, name in [
+            (scan, "rows"),
+            (scan.rows[0], "entropy"),
+            (verify_rescaling(STATE), "swaps_preserve_group"),
+        ]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, None)
+
+    @pytest.mark.parametrize("side", [5, 9, 13, 17])
+    def test_patch_entropy_closed_form(self, side):
+        # A k x k patch, 2 <= k < L, is simply connected with 4(k - 1)
+        # boundary stars, so S = 4(k - 1) - gamma with the topological term
+        # gamma = 1 bit (Hamma, Ionicioiu & Zanardi, PRA 71, 022315 (2005);
+        # Kitaev & Preskill, PRL 96, 110404 (2006)).  The k = L patch wraps
+        # and is left out.
+        rows = cardinality_scan(ToricState(side)).rows
+        assert rows[0].region_size == 0 and rows[0].entropy == 0
+        assert [r.entropy for r in rows[1 : side - 1]] == [
+            4 * (k - 1) - 1 for k in range(2, side)
+        ]
+        assert rows[-1].region_size == 2 * side * side and rows[-1].entropy == 0
 
 
 def _oracle_entropy(state, region) -> int:
@@ -193,7 +216,8 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("side", [3, 5])
     def test_rank_calls_bounded(self, side, monkeypatch):
-        # one rank for purity, at most one per distinct edge and one per region
+        # at most one rank per distinct edge and one per region; purity is
+        # read from the state's canonical rows
         state = ToricState(side)
         regions = [square_patch_edges(side, k) for k in range(1, side + 1)]
         regions.append(list(range(state.n)))
@@ -202,13 +226,12 @@ class TestScanOracle:
         real = pauli.gf2_rank
         monkeypatch.setattr(pauli, "gf2_rank", lambda m: calls.append(1) or real(m))
         cardinality_scan(state)
-        assert 0 < len(calls) <= 1 + len(edges) + len(regions)
+        assert 0 < len(calls) <= len(edges) + len(regions)
 
 
 class TestVerifyRescaling:
     def test_two_eliminations_of_the_full_group(self, monkeypatch):
-        # one for the state's group and one for the swapped group; the
-        # swap-back compares generator lists and needs none
+        # one for the state's group and one for the swapped group
         state = ToricState(L)
         sizes = []
         real = pauli._rref
@@ -220,6 +243,28 @@ class TestVerifyRescaling:
         # the state's canonical rows are cached: a second check adds one
         verify_rescaling(state)
         assert sizes.count(state.n) <= 3
+
+    def test_toric_cli_eliminates_the_full_group_twice(self, monkeypatch, capsys):
+        # the scan reads purity off the state's canonical rows, which the
+        # swap check reuses: two phased eliminations, no rank of all rows
+        from blockspin.cli import main
+
+        full = [g.row for g in ToricState(5).group.generators]
+        phased, ranked = [], []
+        real_rref, real_rank = pauli._rref, pauli.gf2_rank
+
+        def rref(rows, phases=None, n=0):
+            if phases is not None:
+                phased.append(len(rows))
+            return real_rref(rows, phases, n)
+
+        monkeypatch.setattr(pauli, "_rref", rref)
+        monkeypatch.setattr(
+            pauli, "gf2_rank", lambda rows: ranked.append(rows) or real_rank(rows)
+        )
+        assert main(["toric", "--L", "5"]) == 0
+        assert phased == [len(full)] * 2
+        assert ranked and full not in ranked
 
     def test_structural_check(self):
         check = verify_rescaling(STATE)
