@@ -21,9 +21,10 @@ from operator import add, mul
 from ._numpy import np
 
 from .codes import StabilizerCode, _logical_class_index
-from .pauli import Pauli, _pack
+from .pauli import Pauli, _letters, _pack
 
 _LOGICAL_NAMES = ("I", "X", "Y", "Z")
+_CLASS_DIGITS = str.maketrans("".join(_LOGICAL_NAMES), "0123")
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
 NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
 # invariant code/family pairs come back onto the family within 1.2e-16; the
@@ -199,12 +200,16 @@ def sample_effective_channel(
     return counts / n_samples
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowTrajectory:
-    """Channel iterates with their quality values and the final verdict."""
+    """Channel iterates with their quality values and the final verdict;
+    frozen, with the levels as a tuple (any iterable is accepted)."""
 
-    levels: list[tuple[int, PauliChannel, float]]
+    levels: tuple[tuple[int, PauliChannel, float], ...]
     verdict: str  # converged-to-{identity,noise,fixed-point} | max-iterations
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))
 
 
 def flow(
@@ -361,7 +366,7 @@ def linearize(
 INFINITE = math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemorySupport:
     """Result of the epsilon-memory-support functional."""
 
@@ -411,10 +416,10 @@ def memory_support(
     return MemorySupport(float(code.n**r_last * L**d), r_last, traj.verdict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelRecord:
     level: int
-    residual: list[str]  # logical class per block at this level
+    residual: tuple[str, ...]  # logical class per block at this level
 
 
 def classify_error(
@@ -433,16 +438,13 @@ def classify_error(
         raise ChannelError(f"error must act on {n_phys} qubits")
     table = code.action_table
     n = code.n
-    # component digits 0..3 = I,X,Y,Z per qubit, indexed by 2x + z
-    digits = "".join(
-        "0312"[2 * (error.x >> k & 1) + (error.z >> k & 1)]
-        for k in range(n_phys - 1, -1, -1)
-    )
+    # component digits 0..3 = I,X,Y,Z per qubit
+    digits = _letters(error).translate(_CLASS_DIGITS)
     records: list[LevelRecord] = []
     for lvl in range(1, levels + 1):
         blocks = (digits[i : i + n] for i in range(0, len(digits), n))
         nxt = [table.classes[int(block, 4)] for block in blocks]
-        records.append(LevelRecord(lvl, [_LOGICAL_NAMES[c] for c in nxt]))
+        records.append(LevelRecord(lvl, tuple(_LOGICAL_NAMES[c] for c in nxt)))
         digits = "".join(map(str, nxt))
     verdict = "correctable" if digits == "0" else "fatal"
     return verdict, records

@@ -12,7 +12,7 @@ import argparse
 import itertools
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from . import __version__
 from ._lazy import lazy_import
@@ -31,8 +31,19 @@ SCHEMA_VERSION = 1
 # every package error is a ValueError
 DOMAIN_ERRORS = (ValueError,)
 
+# the choices of --code, --family (and the channel flags) and tiling --kind,
+# as the names of what each builds, so that importing the CLI loads no layer
+CODES = {
+    "five-qubit": "five_qubit_code",
+    "steane": "steane_code",
+    "shor": "shor_code",
+    "toric": "toric_code",
+}
+FAMILIES = {"depolarizing": "depolarizing", "bit-flip": "bit_flip"}
+TILINGS = {"plus": "plus_tiling", "brick": "brick_tiling", "trivial": "trivial_tiling"}
 
-def _meta(args: argparse.Namespace, seed: int | None = None) -> dict:
+
+def _meta(args: argparse.Namespace) -> dict:
     # output paths are plumbing, not configuration: identical settings must
     # produce byte-identical artifacts regardless of where they are written
     cfg = {
@@ -44,12 +55,12 @@ def _meta(args: argparse.Namespace, seed: int | None = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "config": cfg,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
     }
 
 
-def _csv_header(args: argparse.Namespace, seed: int | None = None) -> str:
-    meta = _meta(args, seed)
+def _csv_header(args: argparse.Namespace) -> str:
+    meta = _meta(args)
     lines = [
         f"# schema_version={meta['schema_version']}",
         f"# tool_version={meta['tool_version']}",
@@ -59,9 +70,22 @@ def _csv_header(args: argparse.Namespace, seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path: str | None, text: str | Iterable[str]) -> None:
-    chunks = [text] if isinstance(text, str) else text
-    if path is None or path == "-":
+def _artifact(args: argparse.Namespace, body: dict | Iterable[str]) -> Iterator[str]:
+    """The text of an artifact, in chunks: a JSON document holding the
+    metadata and the payload dict `body`, or the CSV metadata header and
+    the lines `body`."""
+    if isinstance(body, dict):
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        yield from encoder.iterencode({"meta": _meta(args), **body})
+        yield "\n"
+    else:
+        yield _csv_header(args)
+        for line in body:
+            yield line + "\n"
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    if path == "-":
         sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
@@ -78,28 +102,9 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count - 1)] + [hi]
 
 
-def _status(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
-def _json_doc(args, payload: dict, seed: int | None = None) -> str:
-    return (
-        json.dumps({"meta": _meta(args, seed), **payload}, indent=2, sort_keys=True)
-        + "\n"
-    )
-
-
 def _get_code(name: str, L: int) -> codes.StabilizerCode:
-    builders = {
-        "five-qubit": codes.five_qubit_code,
-        "steane": codes.steane_code,
-        "shor": codes.shor_code,
-    }
-    if name == "toric":
-        return codes.toric_code(L)
-    if name not in builders:
-        raise codes.CodeError(f"unknown code {name!r}")
-    return builders[name]()
+    build = getattr(codes, CODES[name])
+    return build(L) if name == "toric" else build()
 
 
 def _get_channel(args) -> channel.PauliChannel:
@@ -108,26 +113,24 @@ def _get_channel(args) -> channel.PauliChannel:
         if len(parts) != 4:
             raise channel.ChannelError("--channel needs pI,pX,pY,pZ")
         return channel.PauliChannel(*parts)
-    if args.depolarizing is not None:
-        return channel.PauliChannel.depolarizing(args.depolarizing)
-    if getattr(args, "bit_flip", None) is not None:
-        return channel.PauliChannel.bit_flip(args.bit_flip)
+    for name, family in FAMILIES.items():
+        p = getattr(args, name.replace("-", "_"))
+        if p is not None:
+            return getattr(channel.PauliChannel, family)(p)
     raise channel.ChannelError("specify --depolarizing, --bit-flip, or --channel")
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifact, status line), the artifact a JSON
+# payload dict or the CSV lines after the metadata header
 
 
-def cmd_code(args) -> int:
+def cmd_code(args):
     code = _get_code(args.code, args.L)
-    doc = json.loads(code.to_json())
-    _write(args.out, _json_doc(args, {"code": doc}))
-    _status(f"code {args.code}: n={code.n} k={code.k}")
-    return 0
+    return {"code": code.to_dict()}, f"code {args.code}: n={code.n} k={code.k}"
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args):
     code = _get_code(args.code, args.L)
     err = pauli.Pauli.from_string(args.error)
     syndrome = code.syndrome(err)
@@ -139,33 +142,25 @@ def cmd_decode(args) -> int:
         "recovery": code.recovery_table[syndrome].to_string(),
         "logical_class": cls,
     }
-    _write(args.out, _json_doc(args, payload))
-    _status(f"syndrome={''.join(map(str, syndrome))} logical={cls}")
-    return 0
+    return payload, f"syndrome={''.join(map(str, syndrome))} logical={cls}"
 
 
-def cmd_channel_flow(args) -> int:
+def cmd_channel_flow(args):
     code = _get_code(args.code, args.L)
     ch = _get_channel(args)
     traj = channel.flow(code, ch, max_levels=args.max_levels, tol=args.tol)
-    lines = [_csv_header(args).rstrip("\n")]
-    lines.append("r,p_I,p_X,p_Y,p_Z,q_r")
+    lines = ["r,p_I,p_X,p_Y,p_Z,q_r"]
     for r, c, q in traj.levels:
         lines.append(
             f"{r},{c.p_i:.17g},{c.p_x:.17g},{c.p_y:.17g},{c.p_z:.17g},{q:.17g}"
         )
     lines.append(f"# verdict={traj.verdict}")
-    _write(args.out, "\n".join(lines) + "\n")
-    _status(f"flow verdict: {traj.verdict} after {len(traj.levels) - 1} levels")
-    return 0
+    return lines, f"flow verdict: {traj.verdict} after {len(traj.levels) - 1} levels"
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args):
     code = _get_code(args.code, args.L)
-    family = {
-        "depolarizing": channel.PauliChannel.depolarizing,
-        "bit-flip": channel.PauliChannel.bit_flip,
-    }[args.family]
+    family = getattr(channel.PauliChannel, FAMILIES[args.family])
     p_star = channel.threshold(
         code, family, args.lo, args.hi, width=args.width, max_levels=args.max_levels
     )
@@ -175,12 +170,10 @@ def cmd_threshold(args) -> int:
         "width": args.width,
         "p_star": p_star,
     }
-    _write(args.out, _json_doc(args, payload))
-    _status(f"threshold p* = {p_star:.6f}")
-    return 0
+    return payload, f"threshold p* = {p_star:.6f}"
 
 
-def cmd_memory_support(args) -> int:
+def cmd_memory_support(args):
     code = _get_code(args.code, args.L)
     ch = _get_channel(args)
     ms = channel.memory_support(
@@ -192,12 +185,10 @@ def cmd_memory_support(args) -> int:
         "r_star": ms.r_star,
         "verdict": ms.verdict,
     }
-    _write(args.out, _json_doc(args, payload))
-    _status(f"memory support: {payload['size']} (r*={ms.r_star})")
-    return 0
+    return payload, f"memory support: {payload['size']} (r*={ms.r_star})"
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     code = _get_code(args.code, args.L)
     err = pauli.Pauli.from_string(args.error)
     verdict, records = channel.classify_error(code, args.levels, err)
@@ -208,21 +199,18 @@ def cmd_classify(args) -> int:
             {"level": rec.level, "residual": rec.residual} for rec in records
         ],
     }
-    _write(args.out, _json_doc(args, payload))
-    _status(f"classification: {verdict}")
-    return 0
+    return payload, f"classification: {verdict}"
 
 
-def cmd_tiling(args) -> int:
+def cmd_tiling(args):
+    build = getattr(tiling, TILINGS[args.kind])
     if args.kind == "plus":
-        t = tiling.plus_tiling(args.L, +1 if args.hand == "right" else -1)
-    elif args.kind == "brick":
-        t = tiling.brick_tiling(args.L)
+        t = build(args.L, +1 if args.hand == "right" else -1)
     else:
-        t = tiling.trivial_tiling(args.L)
+        t = build(args.L)
     ok, rescale, rotation = tiling.validate_tiling(t)
     if args.svg:
-        _write(args.svg, tiling.render_svg(t))
+        _write(args.svg, [tiling.render_svg(t)])
     payload = {
         "tiling": t.name,
         "L": t.L,
@@ -231,38 +219,35 @@ def cmd_tiling(args) -> int:
         "rescale": rescale,
         "rotation": rotation,
     }
-    _write(args.out, _json_doc(args, payload))
-    _status(
+    return payload, (
         f"tiling {t.name}: {t.tile_count} tiles, rescale={rescale:.6f}, "
         f"rotation={rotation:+.6f}"
     )
-    return 0
 
 
-def cmd_toric(args) -> int:
+def cmd_toric(args):
     state = toric_rescale.ToricState(args.L)
     big_site = toric_rescale.rescaled_site(state, (0, 0))
     big_plaq = toric_rescale.rescaled_plaquette(state, (0, 0))
     scan = toric_rescale.cardinality_scan(state)
     check = toric_rescale.verify_rescaling(state)
-    lines = [_csv_header(args).rstrip("\n")]
-    lines.append("# note: internal correlation I(A) uses the stabilizer entropy defect")
-    lines.append(scan.to_csv().rstrip("\n"))
-    lines.append(f"# characteristic_cardinality={scan.characteristic_cardinality}")
-    lines.append(f"# rescaled_site_weight={big_site.weight}")
-    lines.append(f"# rescaled_plaquette_weight={big_plaq.weight}")
-    lines.append(f"# rescaling_structure_ok={check.swaps_preserve_group}")
-    _write(args.out, "\n".join(lines) + "\n")
+    lines = [
+        "# note: internal correlation I(A) uses the stabilizer entropy defect",
+        scan.to_csv().rstrip("\n"),
+        f"# characteristic_cardinality={scan.characteristic_cardinality}",
+        f"# rescaled_site_weight={big_site.weight}",
+        f"# rescaled_plaquette_weight={big_plaq.weight}",
+        f"# rescaling_structure_ok={check.swaps_preserve_group}",
+    ]
     if args.svg:
-        _write(args.svg, toric_rescale.generator_support_svg(state))
-    _status(
+        _write(args.svg, [toric_rescale.generator_support_svg(state)])
+    return lines, (
         f"toric L={args.L}: n_T={scan.characteristic_cardinality}, "
         f"big generator weights {big_site.weight}/{big_plaq.weight}"
     )
-    return 0
 
 
-def cmd_dfs(args) -> int:
+def cmd_dfs(args):
     ops = dfs.collective_noise_generators(args.qubits)
     dec = dfs.decompose(ops, seed=args.seed)
     residual = dfs.block_diagonal_residual(dec, ops)
@@ -284,12 +269,10 @@ def cmd_dfs(args) -> int:
             for nb in noiseless
         ],
     }
-    _write(args.out, _json_doc(args, payload, seed=args.seed))
-    _status(
+    return payload, (
         f"dfs: blocks {[(b.irrep_dim, b.multiplicity) for b in dec.blocks]}, "
         f"{len(noiseless)} noiseless"
     )
-    return 0
 
 
 # Each scan point costs ~0.15-0.26 ms and writes ~2.4 kB of CSV as it is
@@ -298,7 +281,7 @@ def cmd_dfs(args) -> int:
 SCAN_COUNT_CAP = 10_000
 
 
-def cmd_logistic(args) -> int:
+def cmd_logistic(args):
     params = logistic.LogisticParams(r=args.r, K=args.K, dt=args.dt)
     if args.scan_mu is not None:
         mu_lo, mu_hi, count = args.scan_mu
@@ -311,26 +294,24 @@ def cmd_logistic(args) -> int:
                 f"--scan-mu COUNT {count:g} exceeds the cap of {SCAN_COUNT_CAP} points"
             )
         mus = _linspace(mu_lo, mu_hi, int(count))
+        # each point is computed as its lines are written
         rows = (logistic.bifurcation_scan([mu], kappa=params.kappa, n0=args.N0)[0]
                 for mu in mus)
-        lines = ("".join(f"{mu:.17g},{v:.17g}\n" for v in tail) for mu, tail in rows)
-        _write(args.out, itertools.chain([_csv_header(args), "mu,tail_value\n"], lines))
-        _status(f"bifurcation scan over {len(mus)} mu values")
-        return 0
+        lines = (f"{mu:.17g},{v:.17g}" for mu, tail in rows for v in tail)
+        status = f"bifurcation scan over {len(mus)} mu values"
+        return itertools.chain(["mu,tail_value"], lines), status
     orbit = logistic.map_orbit(params.mu, params.kappa, args.N0, args.steps)
     report = logistic.detect_cycle(orbit) if args.steps >= 1300 else None
-    lines = [_csv_header(args).rstrip("\n"), "n,N_map,N_ode"]
+    lines = ["n,N_map,N_ode"]
     for i, v in enumerate(orbit):
         ode = logistic.ode_solution(params, args.N0, i * args.dt)
         lines.append(f"{i},{v:.17g},{ode:.17g}")
     if report:
         lines.append(f"# cycle={report.kind}")
-    _write(args.out, "\n".join(lines) + "\n")
-    _status(
+    return lines, (
         f"logistic: mu={params.mu:.6f} kappa={params.kappa:.6f}"
         + (f" cycle={report.kind}" if report else "")
     )
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -343,89 +324,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
+
+    def add(name, func, help):
+        p = sub.add_parser(name, help=help, parents=[out])
+        p.set_defaults(func=func)
+        return p
 
     def add_code_opts(p):
-        p.add_argument(
-            "--code",
-            default="five-qubit",
-            choices=["five-qubit", "steane", "shor", "toric"],
-        )
+        p.add_argument("--code", default="five-qubit", choices=list(CODES))
         p.add_argument("--L", type=int, default=3, help="torus side for toric")
 
     def add_channel_opts(p):
-        p.add_argument("--depolarizing", type=float, default=None)
-        p.add_argument("--bit-flip", dest="bit_flip", type=float, default=None)
+        for name in FAMILIES:
+            p.add_argument(f"--{name}", type=float, default=None)
         p.add_argument("--channel", default=None, help="pI,pX,pY,pZ")
 
-    p = sub.add_parser("code", help="emit a code as JSON")
+    p = add("code", cmd_code, "emit a code as JSON")
     add_code_opts(p)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_code)
 
-    p = sub.add_parser("decode", help="syndrome + recovery for one error")
+    p = add("decode", cmd_decode, "syndrome + recovery for one error")
     add_code_opts(p)
     p.add_argument("--error", required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("channel-flow", help="iterate the effective channel")
+    p = add("channel-flow", cmd_channel_flow, "iterate the effective channel")
     add_code_opts(p)
     add_channel_opts(p)
     p.add_argument("--max-levels", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_channel_flow)
 
-    p = sub.add_parser("threshold", help="bisect the memory threshold")
+    p = add("threshold", cmd_threshold, "bisect the memory threshold")
     add_code_opts(p)
-    p.add_argument("--family", default="depolarizing", choices=["depolarizing", "bit-flip"])
+    p.add_argument("--family", default="depolarizing", choices=list(FAMILIES))
     p.add_argument("--lo", type=float, default=0.01)
     p.add_argument("--hi", type=float, default=0.3)
     p.add_argument("--width", type=float, default=1e-3)
     p.add_argument("--max-levels", type=int, default=200)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("memory-support", help="epsilon-memory support")
+    p = add("memory-support", cmd_memory_support, "epsilon-memory support")
     add_code_opts(p)
     add_channel_opts(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--lattice-L", type=float, default=1.0)
     p.add_argument("--dimension", type=int, default=1)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_memory_support)
 
-    p = sub.add_parser("classify", help="classify a concatenated-level error")
+    p = add("classify", cmd_classify, "classify a concatenated-level error")
     add_code_opts(p)
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--error", required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("tiling", help="build and validate a lattice tiling")
-    p.add_argument("--kind", default="plus", choices=["plus", "brick", "trivial"])
-    p.add_argument("--plus", action="store_const", const="plus", dest="kind")
-    p.add_argument("--brick", action="store_const", const="brick", dest="kind")
-    p.add_argument("--trivial", action="store_const", const="trivial", dest="kind")
+    p = add("tiling", cmd_tiling, "build and validate a lattice tiling")
+    p.add_argument("--kind", default="plus", choices=list(TILINGS))
+    for kind in TILINGS:
+        p.add_argument(f"--{kind}", action="store_const", const=kind, dest="kind")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--hand", default="right", choices=["right", "left"])
     p.add_argument("--svg", default=None)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_tiling)
 
-    p = sub.add_parser("toric", help="toric rescaling and entropy scan")
+    p = add("toric", cmd_toric, "toric rescaling and entropy scan")
     p.add_argument("--L", type=int, default=5)
     p.add_argument("--svg", default=None)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_toric)
 
-    p = sub.add_parser("dfs", help="decompose a collective-noise algebra")
+    p = add("dfs", cmd_dfs, "decompose a collective-noise algebra")
     p.add_argument("--qubits", type=int, default=3)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_dfs)
 
-    p = sub.add_parser("logistic", help="logistic ODE vs finite-difference map")
+    p = add("logistic", cmd_logistic, "logistic ODE vs finite-difference map")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
@@ -438,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar=("LO", "HI", "COUNT"),
     )
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_logistic)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: write its artifact to --out and its status line
+    to stderr."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -452,10 +417,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; remap to the documented exit 1
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        body, status = args.func(args)
+        _write(args.out, _artifact(args, body))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(status, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -112,8 +112,9 @@ class StabilizerCode:
             raise CodeError(f"{residual} carries a nonzero syndrome")
         return "IXYZ"[_logical_class_index(self, residual)]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The code as a JSON-ready document, which `from_json` reads back."""
+        return {
             "n": self.n,
             "k": self.k,
             "generators": [g.to_string() for g in self.stabilizer.generators],
@@ -124,7 +125,9 @@ class StabilizerCode:
                 for s, p in sorted(self.recovery_table.items())
             },
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "StabilizerCode":
@@ -515,14 +518,17 @@ def toric_code(L: int) -> StabilizerCode:
 # Tile Hamiltonian
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileHamiltonian:
-    """H = -sum_i K_i M_i over pairwise-commuting check operators, K_i > 0."""
+    """H = -sum_i K_i M_i over pairwise-commuting check operators, K_i > 0;
+    frozen, with couplings and terms as tuples (any iterables are accepted)."""
 
-    couplings: list[float]
-    terms: list[Pauli]
+    couplings: tuple[float, ...]
+    terms: tuple[Pauli, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "couplings", tuple(self.couplings))
+        object.__setattr__(self, "terms", tuple(self.terms))
         if len(self.couplings) != len(self.terms):
             raise CodeError("one coupling per term required")
         if any(k <= 0 for k in self.couplings):

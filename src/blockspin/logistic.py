@@ -71,7 +71,7 @@ def map_fixed_points(mu: float, kappa: float) -> tuple[float, float]:
     return 0.0, kappa * (1.0 - 1.0 / mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleReport:
     kind: str            # fixed | period-k | aperiodic-within-window
     period: int | None

@@ -19,6 +19,7 @@ _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTERS = frozenset("IXYZ")
 _X_DIGITS = str.maketrans("IXYZ", "0110")  # a letter's X bit as a binary digit
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
+_LETTER_OF_DIGIT = str.maketrans("0123", "IZXY")  # a qubit's 2x + z as a letter
 
 
 class PauliError(ValueError):
@@ -38,9 +39,23 @@ def _pack(bits) -> int:
 
 
 def _unpack(v: int, n: int) -> np.ndarray:
-    bits = np.array([v >> k & 1 for k in range(n - 1, -1, -1)], dtype=np.uint8)
+    text = f"{v:0{n}b}" if n else ""
+    bits = np.frombuffer(text.encode(), dtype=np.uint8) & 1
     bits.setflags(write=False)
     return bits
+
+
+def _spread(v: int) -> int:
+    """v with bit k moved to bit 4k: its binary digits read as hex."""
+    return int(f"{v:b}", 16)
+
+
+def _letters(p: "Pauli") -> str:
+    """p's letters I/X/Y/Z, qubit 0 first, without the phase; one hex digit
+    2x + z per qubit, so linear in n."""
+    if not p.n:
+        return ""  # a zero width still formats one digit
+    return f"{2 * _spread(p.x) + _spread(p.z):0{p.n}x}".translate(_LETTER_OF_DIGIT)
 
 
 @dataclass(frozen=True, init=False)
@@ -113,11 +128,8 @@ class Pauli:
         return cls.packed(len(s), x, z, phase + (x & z).bit_count())
 
     def to_string(self) -> str:
-        x, z = self.x, self.z
-        head = _PHASE_STR[(self.phase_exp - (x & z).bit_count()) % 4]
-        return head + "".join(
-            "IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in range(self.n - 1, -1, -1)
-        )
+        head = _PHASE_STR[(self.phase_exp - (self.x & self.z).bit_count()) % 4]
+        return head + _letters(self)
 
     def __str__(self) -> str:
         return self.to_string()

@@ -8,8 +8,10 @@ blocking rescales the lattice by sqrt(5) and rotates it by +-arctan(1/2).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 
 class TilingError(ValueError):
@@ -179,16 +181,20 @@ def _is_similar_sublattice(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcatenatedTiling:
     """r-level hierarchical blocking; each site gets a position path and a
-    top-level tile index."""
+    top-level tile index.  Frozen, with the addresses as a read-only view
+    of the mapping it is given."""
 
     base: Tiling
     levels: int
-    addresses: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = field(
+    addresses: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]] = field(
         default_factory=dict
     )
+
+    def __post_init__(self):
+        object.__setattr__(self, "addresses", MappingProxyType(self.addresses))
 
     @property
     def top_tile_count(self) -> int:

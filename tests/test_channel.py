@@ -273,6 +273,14 @@ class TestFlow:
         with pytest.raises(ChannelError, match=match):
             flow(CODE, PauliChannel.depolarizing(0.1), **kwargs)
 
+    def test_trajectory_is_frozen(self):
+        traj = flow(CODE, PauliChannel.depolarizing(0.05))
+        assert isinstance(traj.levels, tuple) and len(traj.levels) > 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.verdict = "max-iterations"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.levels = ()
+
     def test_identity_input(self):
         traj = flow(CODE, PauliChannel.identity())
         assert traj.verdict == "converged-to-identity"
@@ -570,6 +578,11 @@ class TestMemorySupport:
             ms = memory_support(CODE, PauliChannel.depolarizing(0.01), eps)
             assert ms.infinite
 
+    def test_result_is_frozen(self):
+        ms = memory_support(CODE, PauliChannel.depolarizing(0.3), 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ms.r_star = 0
+
     def test_uniform_immediate(self):
         ms = memory_support(CODE, PauliChannel.uniform(), 0.5)
         assert not ms.infinite
@@ -627,7 +640,13 @@ class TestClassifyError:
         for code, errors in ((CODE, five), (steane, sample)):
             for e in errors:
                 _, records = classify_error(code, 1, e)
-                assert records[0].residual == [code.logical_class(code.recover(e))]
+                assert records[0].residual == (code.logical_class(code.recover(e)),)
+
+    def test_records_are_frozen(self):
+        _, records = classify_error(CODE, 2, Pauli.identity(25))
+        assert records[0].residual == ("I",) * 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            records[0].residual = ()
 
     def test_identity_error(self):
         verdict, records = classify_error(CODE, 2, Pauli.identity(25))
@@ -639,8 +658,8 @@ class TestClassifyError:
         s[7] = "X"
         verdict, records = classify_error(CODE, 2, Pauli.from_string("".join(s)))
         assert verdict == "correctable"
-        assert records[0].residual == ["I"] * 5
-        assert records[1].residual == ["I"]
+        assert records[0].residual == ("I",) * 5
+        assert records[1].residual == ("I",)
 
     def test_in_block_logical_flip_corrected_next_level(self):
         # a weight-2 error in the first block that decodes to a logical
@@ -649,9 +668,9 @@ class TestClassifyError:
         s[1] = "X"
         verdict, records = classify_error(CODE, 2, Pauli.from_string("".join(s)))
         assert records[0].residual[0] != "I"
-        assert records[0].residual[1:] == ["I"] * 4
+        assert records[0].residual[1:] == ("I",) * 4
         assert verdict == "correctable"
-        assert records[1].residual == ["I"]
+        assert records[1].residual == ("I",)
 
     def test_length_check(self):
         with pytest.raises(ChannelError):

@@ -8,6 +8,7 @@ import pkgutil
 import pytest
 
 import blockspin
+from blockspin import cli
 from blockspin.cli import DOMAIN_ERRORS, main
 
 
@@ -52,13 +53,16 @@ class TestExitCodes:
         "argv", [["toric"], ["code", "--code", "toric"]], ids=["toric", "code"]
     )
     def test_oversized_toric_lattice_refused_at_once(self, argv, monkeypatch, capsys):
-        codes = importlib.import_module("blockspin.codes")
-
         def no_generator(*args):
             raise AssertionError("a toric generator was built")
 
-        monkeypatch.setattr(codes, "toric_site_generator", no_generator)
-        monkeypatch.setattr(codes, "toric_plaquette_generator", no_generator)
+        # toric_rescale binds the builders from codes when it loads, so it is
+        # patched (and loaded) first: loading it under the patch would keep
+        # the stand-ins bound after the test
+        for layer in ("toric_rescale", "codes"):
+            module = importlib.import_module(f"blockspin.{layer}")
+            monkeypatch.setattr(module, "toric_site_generator", no_generator)
+            monkeypatch.setattr(module, "toric_plaquette_generator", no_generator)
         assert run([*argv, "--L", str(10**6), "--out", "-"]) == 2
         assert "exceeds cap" in capsys.readouterr().err
 
@@ -295,3 +299,155 @@ class TestGoldenArtifacts:
         svg, out = tmp_path / "tiling.svg", tmp_path / "t.json"
         assert run(["tiling", "--L", "25", "--svg", str(svg), "--out", str(out)]) == 0
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == self.TILING_25_SVG
+
+    # one invocation per subcommand, the scan, a refusal (exit 2) and a usage
+    # error (exit 1): (argv, exit code, SHA-256 of stdout, of stderr and of
+    # the --svg file, which is asked for when its digest is given)
+    INVOCATIONS = {
+        "code": (
+            ["code", "--code", "steane"], 0,
+            "9a2ba522c2cf8226f497843a7a7e5f70009feda606fdad90a30bc4db7025dfce",
+            "7e27cedf4326603650d092bcbac011083e884c056992f9c15346c03b1c31c00a",
+            None,
+        ),
+        "decode": (
+            ["decode", "--code", "shor", "--error", "IIIIYIIII"], 0,
+            "0ac2f049d90f6f906feba7c6a8a1f11cc99ed2a3dac7deca35b5aa5773691928",
+            "7e52ade89714346bc936eded2978d184e537c6876825bafd739ddf7c68e4be3a",
+            None,
+        ),
+        "channel-flow": (
+            ["channel-flow", "--code", "five-qubit", "--depolarizing", "0.05"], 0,
+            "17a4d22e669b552b8ea5656f0a49dc684b7655df63025b4a1bf27ec836f31561",
+            "b8cf00f186090c9c5e7bc756e30b4443776470ca735b9fd1e9d4e7dbae4b9de0",
+            None,
+        ),
+        "threshold": (
+            ["threshold", "--code", "five-qubit", "--width", "1e-4"], 0,
+            "227b920bd3cbc8389b93df9fa8d617459b0d4d9814b3e1687c48601b94f0f0e8",
+            "297dc96889fa3ce037c449921136a30c113dfd4530807d695e5895f4ea3236fb",
+            None,
+        ),
+        "memory-support": (
+            ["memory-support", "--code", "steane", "--depolarizing", "0.2",
+             "--epsilon", "0.5"], 0,
+            "44ee5bce63e2a1ce96be70b82b4b1380c0d7a72780be3a368cb02fca0de4ddcb",
+            "cbca1c16f2a96bcefe1892bed46eda52084b081635a3f2ae56a8da86f21a7b03",
+            None,
+        ),
+        "classify": (
+            ["classify", "--code", "five-qubit", "--levels", "2", "--error", "XZ" + "I" * 23], 0,
+            "ca5709788322d39fd2283a4f518ef4779876c51e34392e24d7f4cae24d3c60c7",
+            "fd01e6726717b8d213090ca522794e70bcc729e2fd80d9e854a2c15216023ccd",
+            None,
+        ),
+        "tiling": (
+            ["tiling", "--brick", "--L", "10"], 0,
+            "866537ba2aac3bbe7d02516f1dd881c204d1ca5321e2490778661be1f617a10e",
+            "c17b1aa2212f2dea0394e495b4562bfb229bf2502a9a0082e45bc31ef9534af3",
+            "29c1888b89904529102575d17d03f31e34748ebff2550793a39cf20b7f0a9967",
+        ),
+        "toric": (
+            ["toric", "--L", "4"], 0,
+            "b4744481f87d3ed1db2df0c2d312a363da6ec4126058b5dfd26401f9702bd3a4",
+            "17e32fdfae469481072e338b9cb9d6bf75e91e90825a2bba1b307aa75d1b24a1",
+            "18758dee98806b2a83734e340affe856a551101ca4371a92f5348734661637e3",
+        ),
+        "dfs": (
+            ["dfs", "--qubits", "3", "--seed", "7"], 0,
+            "6c0073651a185053012bac2c459b9040d272cea704107d1778e3e2198940e54a",
+            "543cfeea340989933006ab2e3160b5b4c463841419c048a70c6e05394b7a6fe2",
+            None,
+        ),
+        "logistic": (
+            ["logistic", "--r", "1", "--K", "1", "--dt", "2.3", "--steps", "1400"], 0,
+            "44917204c402d6b6e941fa35b1e7ffbc93391dda3e2df0158a5db8b780825873",
+            "0361a7ae5f0c530daa39bd9cf7e587a1a08f1baf517212827edc34d5ea9a2f2a",
+            None,
+        ),
+        "logistic-scan": (
+            ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu", "2.8", "3.6", "9"], 0,
+            "08bf01df1f8a66c3db54935827a2b531fb6b8c672143c5f5d33b0f10215b2b07",
+            "084663478d1111734c4621166e851e5c9c3aa088f44bdad9cac36b4592f66613",
+            None,
+        ),
+        "refused": (
+            ["channel-flow", "--code", "steane"], 2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "ba9d7908a643ff80a0969490cd0497f0ddc205a66a8f54c5e034d84e3f1547ff",
+            None,
+        ),
+        "usage": (
+            ["code", "--bogus"], 1,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "3b873f84aaa8744bb45119772ff1f43084daf669e21855894b730bcf4719fff9",
+            None,
+        ),
+    }
+    # `code --code toric --L side` on stdout
+    TORIC_CODE = {
+        2: "689d9fa123402599c5ced1a5d59b8ea38503144c7a1355eba4f94f05c6d9ef9a",
+        3: "f4d8906bb596ef4ec4dd07e9905170a41858ee27f3f6f45b9fef2486f1ec4b8d",
+        9: "2e73a6f120efadcfb9dc68600f80d367d0de1fe19457b1ec5c6915c42594c227",
+        25: "03bce144690065e231ea835b24e1b49d1ae4859bdc21925465a920b4e0ddee43",
+        41: "4f110a3736224ecbd3b1a51ee40b740c800b5821d1b3879395602cacec27a6d0",
+    }
+
+    @staticmethod
+    def _invoke(argv, svg_digest, tmp_path, capsys):
+        svg = tmp_path / "side.svg"
+        rc = run([*argv, "--svg", str(svg)] if svg_digest else argv)
+        std = capsys.readouterr()
+        side = hashlib.sha256(svg.read_bytes()).hexdigest() if svg_digest else None
+        return rc, std.out.encode(), std.err.encode(), side
+
+    @pytest.mark.parametrize("name", list(INVOCATIONS))
+    def test_invocation(self, name, tmp_path, capsys):
+        argv, rc, out, err, svg = self.INVOCATIONS[name]
+        got_rc, got_out, got_err, got_svg = self._invoke(argv, svg, tmp_path, capsys)
+        sha = lambda b: hashlib.sha256(b).hexdigest()  # noqa: E731
+        assert (got_rc, sha(got_out), sha(got_err), got_svg) == (rc, out, err, svg)
+
+    @pytest.mark.parametrize("name", list(INVOCATIONS))
+    def test_out_file_holds_the_stdout_bytes(self, name, tmp_path, capsys):
+        argv, rc, out, err, svg = self.INVOCATIONS[name]
+        path = tmp_path / "artifact"
+        got = self._invoke([*argv, "--out", str(path)], svg, tmp_path, capsys)
+        assert got[:2] == (rc, b"")
+        assert hashlib.sha256(got[2]).hexdigest() == err
+        if rc == 0:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == out
+        else:
+            assert not path.exists()
+
+    @pytest.mark.parametrize("side", sorted(TORIC_CODE))
+    def test_toric_code_document(self, side, capsys):
+        assert run(["code", "--code", "toric", "--L", str(side)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.TORIC_CODE[side]
+
+
+class TestChoiceTables:
+    """--code, --family and tiling --kind offer exactly the names that their
+    tables dispatch on, and each entry names a builder in its layer."""
+
+    def test_every_entry_names_a_builder(self):
+        from blockspin import channel, codes, tiling
+
+        tables = ((cli.CODES, codes), (cli.FAMILIES, channel.PauliChannel), (cli.TILINGS, tiling))
+        for table, owner in tables:
+            for builder in table.values():
+                assert callable(getattr(owner, builder)), builder
+
+    @pytest.mark.parametrize(
+        "argv, option, table",
+        [(["code"], "--code", cli.CODES), (["threshold"], "--family", cli.FAMILIES),
+         (["tiling", "--L", "5"], "--kind", cli.TILINGS)],
+        ids=["code", "family", "kind"],
+    )
+    def test_parser_offers_the_table(self, argv, option, table, capsys):
+        parser = cli.build_parser()
+        for choice in table:
+            assert getattr(parser.parse_args([*argv, option, choice]), option[2:]) == choice
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, option, "no-such-choice"])

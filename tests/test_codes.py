@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -380,6 +381,15 @@ class TestTileHamiltonian:
             mat -= g.to_matrix()
         assert np.linalg.norm(mat @ vec - (-4.0) * vec) < 1e-12
 
+    def test_frozen_with_tuples(self):
+        couplings, terms = [1.5], [Pauli.from_string("Z")]
+        h = TileHamiltonian(couplings, terms)
+        couplings.append(2.0)
+        terms.append(Pauli.from_string("X"))
+        assert h.couplings == (1.5,) and h.terms == (Pauli.from_string("Z"),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.couplings = (2.0,)
+
     def test_noncommuting_terms_rejected(self):
         with pytest.raises(CodeError):
             TileHamiltonian(
@@ -473,6 +483,17 @@ class TestFrozenCode:
         del table[(0, 0, 0, 1)]
         assert variant.recovery_table == code.recovery_table
         assert variant.recovery_table[(0, 0, 0, 0)] == Pauli.identity(5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [five_qubit_code, steane_code, shor_code, lambda: toric_code(2), lambda: toric_code(3)],
+        ids=["five-qubit", "steane", "shor", "toric-2", "toric-3"],
+    )
+    def test_json_is_the_dumped_dict(self, build):
+        code = build()
+        doc = code.to_dict()
+        assert code.to_json() == json.dumps(doc, indent=2, sort_keys=True)
+        assert StabilizerCode.from_json(code.to_json()).to_dict() == doc
 
     def test_logicals_are_tuples(self):
         clone = StabilizerCode.from_json(five_qubit_code().to_json())

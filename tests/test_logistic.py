@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,12 @@ class TestCycleDetection:
         orbit = map_orbit(mu, 1.0, 0.5, 1400)
         rep = detect_cycle(orbit)
         assert rep.kind == "period-2"
+
+    def test_report_is_frozen(self):
+        rep = detect_cycle(np.tile([0.2, 0.8], 700))
+        assert rep == CycleReport("period-2", 2)
+        with pytest.raises(FrozenInstanceError):
+            rep.period = 3
 
     def test_chaotic_regime(self):
         orbit = map_orbit(3.99, 1.0, 0.5, 1400)

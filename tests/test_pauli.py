@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -326,6 +327,23 @@ class TestTextForm:
     @given(paulis())
     def test_roundtrip(self, p):
         assert Pauli.from_string(p.to_string()) == p
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_letters_match_the_per_qubit_reference(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        pairs = [(0, 0), (full, 0), (0, full), (full, full)]
+        pairs += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(8)]
+        for (x, z), e in itertools.product(pairs, range(4)):
+            p = Pauli.packed(n, x, z, e)
+            qubits = range(n - 1, -1, -1)  # qubit 0 at the top bit
+            letters = "".join("IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in qubits)
+            head = {0: "", 1: "i", 2: "-", 3: "-i"}[(e - (x & z).bit_count()) % 4]
+            assert p.to_string() == head + letters
+            if n:  # the parser refuses text with no letters
+                assert Pauli.from_string(p.to_string()) == p
+            assert p.x_bits.tolist() == [x >> k & 1 for k in qubits]
+            assert p.z_bits.tolist() == [z >> k & 1 for k in qubits]
 
     def test_signs(self):
         assert Pauli.from_string("-ZXZII").to_string() == "-ZXZII"

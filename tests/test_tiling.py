@@ -396,6 +396,14 @@ class TestConcatenation:
         with pytest.raises(TilingError):
             concatenate_tiling(plus_tiling(5, +1), 2)
 
+    def test_frozen_with_read_only_addresses(self):
+        c = concatenate_tiling(plus_tiling(25, +1), 2)
+        with pytest.raises(FrozenInstanceError):
+            c.levels = 1
+        with pytest.raises(TypeError):
+            c.addresses[(0, 0)] = (0, (1, 1))
+        assert len(c.addresses) == 625
+
 
 class TestSvg:
     def test_metadata_embedded(self):
