@@ -337,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=int, default=3, help="torus side for toric")
 
     def add_channel_opts(p):
+        flags = p.add_mutually_exclusive_group()
         for name in FAMILIES:
-            p.add_argument(f"--{name}", type=float, default=None)
-        p.add_argument("--channel", default=None, help="pI,pX,pY,pZ")
+            flags.add_argument(f"--{name}", type=float, default=None)
+        flags.add_argument("--channel", default=None, help="pI,pX,pY,pZ")
 
     p = add("code", cmd_code, "emit a code as JSON")
     add_code_opts(p)

@@ -114,16 +114,16 @@ class Pauli:
         phase = 0
         if s.startswith("-i"):
             phase, s = 3, s[2:]
-        elif s.startswith("i") and len(s) > 1 and s[1] in "IXYZ":
+        elif s.startswith("i") and s[1:2] in "IXYZ":  # a bare "i" is n = 0
             phase, s = 1, s[1:]
         elif s.startswith("-"):
             phase, s = 2, s[1:]
         elif s.startswith("+"):
             s = s[1:]
-        if not s or not _LETTERS.issuperset(s):
+        if not _LETTERS.issuperset(s):
             raise PauliError(f"invalid Pauli string {s!r}")
-        x = int(s.translate(_X_DIGITS), 2)
-        z = int(s.translate(_Z_DIGITS), 2)
+        x = int(s.translate(_X_DIGITS) or "0", 2)
+        z = int(s.translate(_Z_DIGITS) or "0", 2)
         # Each Y in the text contributes one factor of i to the stored phase.
         return cls.packed(len(s), x, z, phase + (x & z).bit_count())
 

@@ -94,10 +94,12 @@ class Tiling:
 
 
 def _build_assignment(
-    L: int, offsets, centers
+    L: int, offsets, centers, sites=None
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Site -> (tile index, position from 1) of the tiles placed at the
-    centers; raises TilingError naming the first overlapped or missed site."""
+    centers, covering the sites (all L^2, y-major, by default) exactly; raises
+    TilingError naming the first overlapped site, else the first missed one in
+    the sites' order, else the least placed site that is not one of them."""
     assignment: dict[tuple[int, int], tuple[int, int]] = {}
     for tid, (cx, cy) in enumerate(centers):
         for pos, (dx, dy) in enumerate(offsets, start=1):
@@ -105,11 +107,14 @@ def _build_assignment(
             if site in assignment:
                 raise TilingError(f"overlap at site {site}")
             assignment[site] = (tid, pos)
-    if len(assignment) != L * L:
-        missing = next(
-            (x, y) for y in range(L) for x in range(L) if (x, y) not in assignment
-        )
-        raise TilingError(f"gap at site {missing}")
+    if sites is None and len(assignment) == L * L:
+        return assignment  # every placed site lies on the torus
+    sites = [(x, y) for y in range(L) for x in range(L)] if sites is None else sites
+    for site in sites:
+        if site not in assignment:
+            raise TilingError(f"gap at site {site}")
+    if len(assignment) > len(sites):
+        raise TilingError(f"site {min(assignment.keys() - set(sites))} lies off the cover")
     return assignment
 
 
@@ -217,54 +222,33 @@ def concatenate_tiling(t: Tiling, levels: int) -> ConcatenatedTiling:
     if L % (5**levels) != 0:
         raise TilingError(f"extent {L} not divisible by 5^{levels}")
     # Gaussian-integer scale per level: 2+i for right-handed, 2-i for left
-    omega = (2, 1) if t.rotation >= 0 else (2, -1)
-    powers = [(1, 0)]  # omega^j as (re, im)
-    for _ in range(levels):
-        re, im = powers[-1]
-        powers.append((re * omega[0] - im * omega[1], re * omega[1] + im * omega[0]))
-
-    level_centers: list[set[tuple[int, int]]] = [
-        {(x, y) for y in range(L) for x in range(L)},
-        {(c[0] % L, c[1] % L) for c in t.centers},
-    ]
+    wr, wi = (2, 1) if t.rotation >= 0 else (2, -1)
+    # per level j: the cover of the level-(j-1) centers and the level-j
+    # centers it numbers its tiles by; level 1 is the base cover of all sites
+    centers = [(x % L, y % L) for x, y in t.centers]
+    covers = [(t.assignment, centers)]
+    re, im = 1, 0  # omega^(j-1)
     for j in range(2, levels + 1):
+        re, im = re * wr - im * wi, re * wi + im * wr
+        offsets = [(dx * re - dy * im, dx * im + dy * re) for dx, dy in t.tile_shape]
         # 5^j | L, so c lies in omega^j Z[i] (mod L) iff c * conj(omega^j),
         # which is 5^j times the quotient, has both components = 0 mod 5^j
-        (re, im), norm = powers[j], 5**j
-        level_centers.append(
-            {
-                (x, y)
-                for x, y in level_centers[j - 1]
-                if (x * re + y * im) % norm == 0 and (y * re - x * im) % norm == 0
-            }
-        )
+        jr, ji, norm = re * wr - im * wi, re * wi + im * wr, 5**j
+        sites, centers = centers, [
+            (x, y)
+            for x, y in centers
+            if (x * jr + y * ji) % norm == 0 and (y * jr - x * ji) % norm == 0
+        ]
+        covers.append((_build_assignment(L, offsets, centers, sites), centers))
 
-    # per level map: site in level j-1 centers -> (parent center, position)
-    parent_maps: list[dict[tuple[int, int], tuple[tuple[int, int], int]]] = []
-    for j in range(1, levels + 1):
-        re, im = powers[j - 1]
-        offs = [(dx * re - dy * im, dx * im + dy * re) for dx, dy in t.tile_shape]
-        hits: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {}
-        for px, py in level_centers[j]:
-            for pos, (ox, oy) in enumerate(offs, start=1):
-                child = ((px + ox) % L, (py + oy) % L)
-                hits[child] = None if child in hits else ((px, py), pos)
-        for child in level_centers[j - 1]:
-            if hits.get(child) is None:
-                raise TilingError(
-                    f"level {j} blocking is not an exact cover at {child}"
-                )
-        parent_maps.append(hits)
-
-    top_index = {c: i for i, c in enumerate(sorted(level_centers[levels]))}
-    addresses: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for site in level_centers[0]:
-        path = []
-        cur = site
-        for pmap in parent_maps:
-            cur, pos = pmap[cur]
-            path.append(pos)
-        addresses[site] = (top_index[cur], tuple(path))
+    # top level down: a site's path is its tile position, then its center's path
+    addresses = {c: (i, ()) for i, c in enumerate(sorted(centers))}
+    for cover, tile_centers in reversed(covers):
+        parents = [addresses[c] for c in tile_centers]
+        addresses = {
+            site: (parents[tid][0], (pos, *parents[tid][1]))
+            for site, (tid, pos) in cover.items()
+        }
     return ConcatenatedTiling(base=t, levels=levels, addresses=addresses)
 
 

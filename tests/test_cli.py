@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import pkgutil
+import re
 
 import pytest
 
@@ -111,6 +112,35 @@ class TestExitCodes:
         assert run([*argv, "--out", str(out)]) == 2
         assert match in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["channel-flow", "memory-support"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--depolarizing", "0.01", "--bit-flip", "0.3"],
+         ["--channel", "0.7,0.3,0,0", "--depolarizing", "0.01"]],
+        ids=["depolarizing-bit-flip", "channel-depolarizing"],
+    )
+    def test_two_channel_flags_are_a_usage_error(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        extra = ["--epsilon", "0.5"] if command == "memory-support" else []
+        assert run([command, *flags, *extra, "--out", str(out)]) == 1
+        assert f"argument {flags[2]}: not allowed with argument {flags[0]}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, tail",
+        [("channel-flow", ["--max-levels", "--tol"]),
+         ("memory-support", ["--epsilon", "--lattice-L", "--dimension"])],
+    )
+    def test_help_lists_the_same_options(self, command, tail, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        assert re.findall(r"^  (-[-\w]+)", options, re.M) == [
+            "-h", "--out", "--code", "--L", "--depolarizing", "--bit-flip", "--channel", *tail
+        ]
 
     @pytest.mark.parametrize("L", ["0", "-5"])
     def test_tiling_non_positive_extent_refused(self, L, capsys):

@@ -340,10 +340,20 @@ class TestTextForm:
             letters = "".join("IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in qubits)
             head = {0: "", 1: "i", 2: "-", 3: "-i"}[(e - (x & z).bit_count()) % 4]
             assert p.to_string() == head + letters
-            if n:  # the parser refuses text with no letters
-                assert Pauli.from_string(p.to_string()) == p
+            assert Pauli.from_string(p.to_string()) == p
             assert p.x_bits.tolist() == [x >> k & 1 for k in qubits]
             assert p.z_bits.tolist() == [z >> k & 1 for k in qubits]
+
+    @pytest.mark.parametrize("text, phase", [("", 0), ("+", 0), ("i", 1), ("-", 2), ("-i", 3)])
+    def test_phase_with_no_letters_is_the_n0_pauli(self, text, phase):
+        p = Pauli.from_string(text)
+        assert (p.n, p.x, p.z, p.phase_exp) == (0, 0, 0, phase)
+        assert p == Pauli.packed(0, 0, 0, phase)
+
+    @pytest.mark.parametrize("text", ["ii", "i-", "--", "-+", "iI-", "x", "I X"])
+    def test_malformed_text_refused(self, text):
+        with pytest.raises(PauliError, match="invalid Pauli string"):
+            Pauli.from_string(text)
 
     def test_signs(self):
         assert Pauli.from_string("-ZXZII").to_string() == "-ZXZII"

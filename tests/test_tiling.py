@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -240,11 +242,12 @@ class TestFrozen:
             tiling, "_is_similar_sublattice", counting("closure", _is_similar_sublattice)
         )
         t = plus_tiling(25, +1)
+        # the base cover through t.assignment, then one cover of level 2
         concatenate_tiling(t, 2)
-        assert calls["cover"] == 0
+        assert calls["cover"] == 2
         first = validate_tiling(t)
         once = dict(calls)
-        assert once["cover"] == 1 and once["closure"] >= 1
+        assert once["cover"] == 2 and once["closure"] >= 1
         assert validate_tiling(t) == first
         assert (t.rescale, t.rotation) == first[1:]
         assert len(t.assignment) == 625
@@ -252,7 +255,7 @@ class TestFrozen:
         assert calls == once
         # a variant is a new object with its own cover and fit
         assert validate_tiling(replace(t, name="variant")) == first
-        assert calls["cover"] == 2
+        assert calls["cover"] == 3
 
     @pytest.mark.parametrize("L", [5, 25, 250])
     @pytest.mark.parametrize("kind", BUILDERS)
@@ -335,6 +338,25 @@ def test_first_passing_candidate_matches_max_theta_rule(build, L):
     assert validate_tiling(t) == _max_theta_over_similar(t)
 
 
+# SHA-256 of the sorted [x, y, top tile, path...] address rows, in the compact
+# JSON that perfbench/concat.py writes, from the earlier per-level cover loop
+ADDRESS_DIGESTS = {
+    ("plus-right", 25, 1): "7d2783baeb701e251bc6f70f638f66842e7a4877ddbdb88cca4261a02b524b32",
+    ("plus-right", 25, 2): "fef1c092dd7ae95f5d5dcefa5b851144147acd9da31b898a7d7b4500ea161400",
+    ("plus-right", 75, 2): "1d5a2b8664bdd8b5192ac8fd60f9345e76f82b58778ca723e822de9647650f4c",
+    ("plus-right", 125, 3): "67621d34170b19859f7ad2d2ecae3f6fbb4d176ff1acb04d3e9431d70fbae02c",
+    ("plus-right", 625, 4): "c43e59daa66b1ba2b13620309e4b848f6232163756d8d8866454975b07c2b868",
+    ("plus-left", 25, 1): "a178410c79450a7dc5d91e39bc561c52257e24965f923a1bed7dc90a8ab0073d",
+    ("plus-left", 25, 2): "7bd7280bd5c93c3e6930a7465006fcceb0bbdc6166bbfc23f3090ecbf825d067",
+    ("plus-left", 75, 2): "50a4130017f3382fe01a60fcc62e442f107151349024e366820380f89f242dbd",
+    ("plus-left", 125, 3): "6d0ad2e879e250b47907f6cf0dfe1773f9afe206c9cd9999fcd1fa64d9c276ca",
+    ("brick", 25, 1): "cbd985eae247f4db7a3e54b701c014087729ebf1485e5831951e0d249e27b17b",
+    ("brick", 25, 2): "272f558d5a2438a4eee04f20aaf934014e36b8d6c6a7cb788b6c0a14e867fb69",
+    ("brick", 75, 2): "b040d05ef66d7aa07da1948a50ca12fa92ea897a47afc6e1ab253d82e86a48f5",
+    ("brick", 125, 3): "7db9a9122d2d5e9727e37238982007f07519495320b7403ba06ea5707fbda319",
+}
+
+
 class TestConcatenation:
     def test_single_level_reduces_to_base(self):
         base = plus_tiling(5, +1)
@@ -403,6 +425,74 @@ class TestConcatenation:
         with pytest.raises(TypeError):
             c.addresses[(0, 0)] = (0, (1, 1))
         assert len(c.addresses) == 625
+
+    @pytest.mark.parametrize(
+        "case", ADDRESS_DIGESTS, ids=lambda case: "-".join(map(str, case))
+    )
+    def test_sorted_addresses_are_pinned(self, case):
+        kind, L, levels = case
+        c = concatenate_tiling(BUILDERS[kind](L), levels)
+        rows = sorted([x, y, top, *path] for (x, y), (top, path) in c.addresses.items())
+        text = json.dumps(rows, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == ADDRESS_DIGESTS[case]
+
+    def test_level_one_fault_is_the_cover_fault(self):
+        # similar centers, but the L-pentomino does not tile by them
+        t = Tiling(25, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)), plus_tiling(25).centers)
+        for run in (lambda: validate_tiling(t), lambda: concatenate_tiling(t, 2)):
+            with pytest.raises(TilingError) as exc:
+                run()
+            assert str(exc.value) == "overlap at site (5, 2)"
+
+
+class TestCoverKernel:
+    """_build_assignment on given sites: the level-2 cover of plus L = 25."""
+
+    L = 25
+    OFFSETS = [(2 * dx - dy, dx + 2 * dy) for dx, dy in PLUS_OFFSETS]  # times 2+i
+    SITES = list(plus_tiling(25).centers)  # the level-1 centers, y-major
+    # the level-1 centers in (3+4i)Z[i]: c * (3-4i) = 0 (mod 25)
+    CENTERS = [(x, y) for x, y in SITES if (3 * x + 4 * y) % 25 == 0 == (3 * y - 4 * x) % 25]
+
+    def _placed(self, offsets, centers):
+        return {((cx + dx) % self.L, (cy + dy) % self.L) for cx, cy in centers for dx, dy in offsets}
+
+    def test_covers_exactly_the_given_sites(self):
+        cover = _build_assignment(self.L, self.OFFSETS, self.CENTERS, self.SITES)
+        assert len(self.CENTERS) == 25 and sorted(cover) == sorted(self.SITES)
+        assert sorted(cover.values()) == [(t, p) for t in range(25) for p in range(1, 6)]
+
+    def test_default_sites_are_the_whole_torus(self):
+        t = plus_tiling(25)
+        torus = [(x, y) for y in range(25) for x in range(25)]
+        assert _build_assignment(25, PLUS_OFFSETS, t.centers, torus) == t.assignment
+
+    def test_first_missed_site_in_the_sites_order(self):
+        centers = self.CENTERS[1:-1]  # two tiles missing
+        placed = self._placed(self.OFFSETS, centers)
+        named = []
+        for sites in (self.SITES, self.SITES[::-1]):
+            with pytest.raises(TilingError) as exc:
+                _build_assignment(self.L, self.OFFSETS, centers, sites)
+            named.append(str(exc.value))
+            assert named[-1] == f"gap at site {next(s for s in sites if s not in placed)}"
+        assert named[0] != named[1]
+
+    def test_overlap_is_named_at_placement(self):
+        centers = [*self.CENTERS, self.CENTERS[3]]
+        with pytest.raises(TilingError) as exc:
+            _build_assignment(self.L, self.OFFSETS, centers, self.SITES)
+        assert str(exc.value) == f"overlap at site {self.CENTERS[3]}"
+
+    def test_site_off_the_given_sites_is_named(self):
+        # a sixth cell one step east of each center: every site is covered,
+        # and the extra cells are not level-1 centers
+        offsets = [*self.OFFSETS, (1, 0)]
+        extra = self._placed(offsets, self.CENTERS) - set(self.SITES)
+        assert len(extra) == 25
+        with pytest.raises(TilingError) as exc:
+            _build_assignment(self.L, offsets, self.CENTERS, self.SITES)
+        assert str(exc.value) == f"site {min(extra)} lies off the cover"
 
 
 class TestSvg:
