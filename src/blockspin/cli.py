@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator
 
 from . import __version__
 from ._lazy import lazy_import
+from ._numpy import default_to_one_blas_thread
 
 # each layer runs its module code on first use, so a subcommand loads only
 # the layers it calls
@@ -133,6 +134,8 @@ def cmd_code(args):
 def cmd_decode(args):
     code = _get_code(args.code, args.L)
     err = pauli.Pauli.from_string(args.error)
+    if err.n != code.n:
+        raise codes.CodeError(f"error must act on {code.n} qubits")
     syndrome = code.syndrome(err)
     residual = code.recover(err)
     cls = code.logical_class(residual) if code.k == 1 else None
@@ -411,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: write its artifact to --out and its status line
     to stderr."""
+    # before any layer loads numpy, which reads the counts once
+    default_to_one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from ._numpy import np
 
 DIM_CAP = 64  # collective noise on n = 6 qubits
-# commutant unknowns: 400 for collective noise on 6 qubits, and every input of
-# dimension <= 32 fits; on 2 shared cores the eigh of a 1024-unknown Gram
-# (17 MB) takes 0.5 s and of a 2048 one 4 s, so 4096 (the identity alone at
-# dimension 64) would need 270 MB per matrix and about half a minute
+# commutant unknowns: 400 for collective noise on 6 qubits, the most the CLI
+# asks for, and every input of dimension <= 32 fits; on 2 shared cores, with
+# the library's default BLAS thread count (the CLI pins one thread), the eigh
+# of a 1024-unknown Gram (17 MB) takes 0.5 s and of a 2048 one 4 s, so 4096
+# (the identity alone at dimension 64) would need 270 MB per matrix and about
+# half a minute
 MAX_UNKNOWNS = 1024
 # Gram eigenvalues are squared singular values of the commutator constraints,
 # so the cut is relative to 4 tr S, which bounds the largest of them and stays

@@ -3,14 +3,21 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import blockspin
 from blockspin import cli
+from blockspin._numpy import BLAS_THREAD_VARS
 from blockspin.cli import DOMAIN_ERRORS, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -28,6 +35,13 @@ class TestExitCodes:
         rc = run(["logistic", "--r", "1", "--K", "1", "--dt", "0"])
         assert rc == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "code, n", [(["five-qubit"], 5), (["toric", "--L", "3"], 18)], ids=["five-qubit", "toric"]
+    )
+    def test_decode_wrong_length_error_refused(self, code, n, capsys):
+        assert run(["decode", "--code", *code, "--error", "XX"]) == 2
+        assert capsys.readouterr().err == f"error: error must act on {n} qubits\n"
 
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "code.json"
@@ -389,6 +403,12 @@ class TestGoldenArtifacts:
             "543cfeea340989933006ab2e3160b5b4c463841419c048a70c6e05394b7a6fe2",
             None,
         ),
+        "dfs-4": (
+            ["dfs", "--qubits", "4", "--seed", "7"], 0,
+            "bb9eec4daff7d278f6586a1005e333986e0a715af0a17ccd85e319ba6c8918b9",
+            "954cdf0a00022fc68a7389fb80ff8a7bd74c3d80c6e176ca45323dbdc98e67cd",
+            None,
+        ),
         "logistic": (
             ["logistic", "--r", "1", "--K", "1", "--dt", "2.3", "--steps", "1400"], 0,
             "44917204c402d6b6e941fa35b1e7ffbc93391dda3e2df0158a5db8b780825873",
@@ -449,6 +469,18 @@ class TestGoldenArtifacts:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == out
         else:
             assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["dfs", "dfs-4"])
+    def test_dfs_in_a_fresh_process(self, name):
+        # in-process, numpy has loaded before `main` can set its thread
+        # count; a fresh `python -m blockspin.cli` runs under the CLI default
+        argv, rc, out, err, _ = self.INVOCATIONS[name]
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "blockspin.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        sha = lambda b: hashlib.sha256(b).hexdigest()  # noqa: E731
+        assert (proc.returncode, sha(proc.stdout), sha(proc.stderr)) == (rc, out, err)
 
     @pytest.mark.parametrize("side", sorted(TORIC_CODE))
     def test_toric_code_document(self, side, capsys):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from blockspin._numpy import BLAS_THREAD_VARS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -35,10 +37,17 @@ def _env() -> dict[str, str]:
     return env
 
 
-def fresh(code: str) -> subprocess.CompletedProcess:
+def _env_without_blas_threads(**extra: str) -> dict[str, str]:
+    """`_env()` with no BLAS thread count, so that the defaults apply, plus `extra`."""
+    env = {k: v for k, v in _env().items() if k not in BLAS_THREAD_VARS}
+    return {**env, **extra}
+
+
+def fresh(code: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     """Run `code` in a new interpreter that imports blockspin from src/."""
     return subprocess.run(
-        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env or _env(), capture_output=True, text=True,
+        timeout=120,
     )
 
 
@@ -240,3 +249,45 @@ def test_loaded_numpy_is_the_real_module():
 
     assert np is numpy
     assert np.zeros(2).tolist() == [0.0, 0.0]
+
+
+# the CLI runs numpy's BLAS on one thread unless the caller sets a count;
+# the library leaves the environment alone
+REPORT_BLAS_THREADS = (
+    "import os\n"
+    "{setup}\n"
+    f"print(*[os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])\n"
+    "tasks = '/proc/self/task'\n"
+    "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
+)
+CLI_DFS = "from blockspin import cli\nassert cli.main(['dfs', '--qubits', '3', '--out', {out!r}]) == 0"
+
+
+def test_cli_defaults_to_one_blas_thread(tmp_path):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count the threads in")
+    setup = CLI_DFS.format(out=str(tmp_path / "artifact"))
+    proc = fresh(REPORT_BLAS_THREADS.format(setup=setup), _env_without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["1 1 1", "1"]
+
+
+def test_caller_set_blas_threads_win(tmp_path):
+    setup = CLI_DFS.format(out=str(tmp_path / "artifact"))
+    env = _env_without_blas_threads(OPENBLAS_NUM_THREADS="2")
+    proc = fresh(REPORT_BLAS_THREADS.format(setup=setup), env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "2 None None"
+
+
+def test_library_leaves_the_environment_alone():
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import blockspin\n"
+        "from blockspin import dfs\n"
+        "assert dfs.decompose(dfs.collective_noise_generators(3)).algebra_dim == 20\n"
+        "assert dict(os.environ) == before\n"
+    )
+    proc = fresh(code, _env_without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
