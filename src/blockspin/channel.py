@@ -23,8 +23,6 @@ from ._numpy import np
 from .codes import StabilizerCode, _logical_class_index
 from .pauli import Pauli, _letters, _pack
 
-_LOGICAL_NAMES = ("I", "X", "Y", "Z")
-_CLASS_DIGITS = str.maketrans("".join(_LOGICAL_NAMES), "0123")
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
 NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
 # invariant code/family pairs come back onto the family within 1.2e-16; the
@@ -247,11 +245,8 @@ def flow(
     return FlowTrajectory(levels, "max-iterations")
 
 
-def order_parameter(
-    code: StabilizerCode, ch: PauliChannel, max_levels: int = 40
-) -> int:
-    """1 on the identity basin, 0 on the noise basin; raises near threshold."""
-    traj = flow(code, ch, max_levels=max_levels)
+def _basin(traj: FlowTrajectory) -> int:
+    """The order parameter a flow's verdict gives; raises off both basins."""
     if traj.verdict == "converged-to-identity":
         return 1
     if traj.verdict == "converged-to-noise":
@@ -259,8 +254,15 @@ def order_parameter(
     if traj.verdict == "converged-to-fixed-point":
         raise ChannelError(f"flow stopped at the fixed channel {traj.levels[-1][1]}")
     raise IndeterminateFlowError(
-        f"flow unresolved after {max_levels} levels (threshold proximity)"
+        f"flow unresolved after {traj.levels[-1][0]} levels (threshold proximity)"
     )
+
+
+def order_parameter(
+    code: StabilizerCode, ch: PauliChannel, max_levels: int = 40
+) -> int:
+    """1 on the identity basin, 0 on the noise basin; raises near threshold."""
+    return _basin(flow(code, ch, max_levels=max_levels))
 
 
 def threshold(
@@ -363,9 +365,6 @@ def linearize(
     ]
 
 
-INFINITE = math.inf
-
-
 @dataclass(frozen=True)
 class MemorySupport:
     """Result of the epsilon-memory-support functional."""
@@ -385,14 +384,13 @@ def memory_support(
     epsilon: float,
     L: float = 1.0,
     d: int = 1,
-    max_levels: int = 40,
 ) -> MemorySupport:
     """Largest lattice volume able to sustain the emergent block spin.
 
     r* is the first concatenation level whose quality drops below epsilon;
     the supported volume is tile_size^r* * L^d.  Infinite on the identity
     basin.  Raises ChannelError unless 0 < epsilon < 1, L is finite and
-    positive and d >= 1.
+    positive and d >= 1; off both basins it raises as order_parameter does.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
@@ -400,13 +398,9 @@ def memory_support(
         raise ChannelError(f"lattice spacing L must be finite and > 0, got {L}")
     if not d >= 1:
         raise ChannelError(f"dimension d must be >= 1, got {d}")
-    traj = flow(code, ch, max_levels=max_levels)
-    if traj.verdict == "converged-to-identity":
-        return MemorySupport(INFINITE, None, traj.verdict)
-    if traj.verdict == "max-iterations":
-        raise IndeterminateFlowError("flow unresolved; memory support undefined")
-    if traj.verdict == "converged-to-fixed-point":
-        raise ChannelError(f"flow stopped at the fixed channel {traj.levels[-1][1]}")
+    traj = flow(code, ch)
+    if _basin(traj):
+        return MemorySupport(math.inf, None, traj.verdict)
     for r, _, q in traj.levels:
         if q < epsilon:
             return MemorySupport(float(code.n**r * L**d), r, traj.verdict)
@@ -427,24 +421,26 @@ def classify_error(
 ) -> tuple[str, list[LevelRecord]]:
     """Deterministic decode of a Pauli error through r concatenation levels.
 
-    Qubits are grouped into consecutive blocks of code.n per level; each
-    block's residual logical class becomes the single-qubit component at the
-    next level.  Correctable iff the final residual is logical identity.
+    Qubits are grouped into consecutive blocks of code.n per level; the
+    logical class that the code's recovery leaves in each block becomes the
+    single-qubit component at the next level.  Correctable iff the final
+    residual is logical identity.  Raises ChannelError unless levels >= 0.
     """
     if code.k != 1:
         raise ChannelError("classification requires k=1")
-    n_phys = code.n**levels
-    if error.n != n_phys:
-        raise ChannelError(f"error must act on {n_phys} qubits")
-    table = code.action_table
+    if not levels >= 0:
+        raise ChannelError(f"levels must be >= 0, got {levels}")
     n = code.n
-    # component digits 0..3 = I,X,Y,Z per qubit
-    digits = _letters(error).translate(_CLASS_DIGITS)
+    if error.n != n**levels:
+        raise ChannelError(f"error must act on {n**levels} qubits")
+    letters = _letters(error)
     records: list[LevelRecord] = []
     for lvl in range(1, levels + 1):
-        blocks = (digits[i : i + n] for i in range(0, len(digits), n))
-        nxt = [table.classes[int(block, 4)] for block in blocks]
-        records.append(LevelRecord(lvl, tuple(_LOGICAL_NAMES[c] for c in nxt)))
-        digits = "".join(map(str, nxt))
-    verdict = "correctable" if digits == "0" else "fatal"
+        residual = tuple(
+            code.logical_class(code.recover(Pauli.from_string(letters[i : i + n])))
+            for i in range(0, len(letters), n)
+        )
+        records.append(LevelRecord(lvl, residual))
+        letters = "".join(residual)
+    verdict = "correctable" if letters == "I" else "fatal"
     return verdict, records

@@ -304,6 +304,7 @@ def cmd_logistic(args):
         status = f"bifurcation scan over {len(mus)} mu values"
         return itertools.chain(["mu,tail_value"], lines), status
     orbit = logistic.map_orbit(params.mu, params.kappa, args.N0, args.steps)
+    # 1300 steps cover CYCLE_TRANSIENT + CYCLE_WINDOW = 1280 orbit points
     report = logistic.detect_cycle(orbit) if args.steps >= 1300 else None
     lines = ["n,N_map,N_ode"]
     for i, v in enumerate(orbit):
@@ -425,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         body, status = args.func(args)
         _write(args.out, _artifact(args, body))
-    except ValueError as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(status, file=sys.stderr)

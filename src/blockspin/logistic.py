@@ -12,6 +12,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+# a recurrence: above the float noise of an orbit settled on its cycle,
+# below the branch gaps that the cycle report separates
+CYCLE_TOL = 1e-9
+CYCLE_TRANSIENT = 256  # the approach to the attractor is not read as a cycle
+CYCLE_WINDOW = 1024  # tail analysed; periods up to a quarter of it are tried
+SCAN_TRANSIENT = 512  # steps for each mu's orbit to settle before its tail
+SCAN_KEEP = 64  # tail values per mu: one full turn of a cycle up to period 64
+
 
 class DynamicsError(ValueError):
     """Raised on invalid growth parameters."""
@@ -77,22 +85,17 @@ class CycleReport:
     period: int | None
 
 
-def detect_cycle(
-    orbit: Sequence[float],
-    tol: float = 1e-9,
-    transient: int = 256,
-    window: int = 1024,
-) -> CycleReport:
-    """Smallest period k with |N(n+k) - N(n)| < tol over the orbit tail.
+def detect_cycle(orbit: Sequence[float]) -> CycleReport:
+    """Smallest period k with |N(n+k) - N(n)| < CYCLE_TOL over the orbit tail.
 
-    The first `transient` points are discarded; candidate periods run up to
-    a quarter of the analysis window.
+    The first CYCLE_TRANSIENT points are discarded; candidate periods run up
+    to a quarter of the CYCLE_WINDOW-point analysis window.
     """
-    tail = [float(v) for v in orbit[transient:][-window:]]
+    tail = [float(v) for v in orbit[CYCLE_TRANSIENT:][-CYCLE_WINDOW:]]
     if len(tail) < 8:
         raise DynamicsError("orbit too short after transient discard")
     for k in range(1, len(tail) // 4 + 1):
-        if all(abs(b - a) < tol for a, b in zip(tail, tail[k:])):
+        if all(abs(b - a) < CYCLE_TOL for a, b in zip(tail, tail[k:])):
             return CycleReport("fixed" if k == 1 else f"period-{k}", k)
     return CycleReport("aperiodic-within-window", None)
 
@@ -101,12 +104,11 @@ def bifurcation_scan(
     mu_values: Sequence[float],
     kappa: float = 1.0,
     n0: float = 0.5,
-    transient: int = 512,
-    keep: int = 64,
 ) -> list[tuple[float, list[float]]]:
-    """Tail orbit values per mu, for bifurcation-diagram export."""
+    """The last SCAN_KEEP orbit values per mu, after SCAN_TRANSIENT steps,
+    for bifurcation-diagram export."""
     out = []
     for mu in mu_values:
-        orbit = map_orbit(float(mu), kappa, n0, transient + keep)
-        out.append((float(mu), orbit[-keep:]))
+        orbit = map_orbit(float(mu), kappa, n0, SCAN_TRANSIENT + SCAN_KEEP)
+        out.append((float(mu), orbit[-SCAN_KEEP:]))
     return out

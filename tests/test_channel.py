@@ -629,18 +629,43 @@ class TestMemorySupport:
 
 class TestClassifyError:
     def test_table_route_matches_logical_class(self):
-        """One level of classify_error (the action table) agrees with
-        recover + logical_class on every five-qubit error and on a seeded
-        sample of Steane errors."""
+        """The action table, which sample_effective_channel reads, holds
+        logical_class(recover(e)) at each error's base-4 index, on every
+        five-qubit error and on a seeded sample of Steane errors."""
         five = [Pauli.from_string("".join(s))
                 for s in itertools.product("IXYZ", repeat=5)]
         steane = steane_code()
         rng = np.random.default_rng(3)
         sample = [random_pauli(rng, 7) for _ in range(400)]
+        digits = str.maketrans("IXYZ", "0123")
         for code, errors in ((CODE, five), (steane, sample)):
+            classes = code.action_table.classes
             for e in errors:
-                _, records = classify_error(code, 1, e)
-                assert records[0].residual == (code.logical_class(code.recover(e)),)
+                index = int(e.to_string().lstrip("+-i").translate(digits), 4)
+                assert "IXYZ"[classes[index]] == code.logical_class(code.recover(e))
+
+    def test_builds_no_action_table(self):
+        code = steane_code()
+        e = random_pauli(np.random.default_rng(5), 7**3)
+        classify_error(code, 3, e)
+        assert "action_table" not in vars(code)
+
+    def test_partial_recovery_table_classifies_the_syndromes_it_keeps(self):
+        # the table refuses a code whose recovery is not tabulated for every
+        # syndrome; block by block recovery needs only the syndromes it meets
+        steane = steane_code()
+        singles = [Pauli.from_string("I" * q + "X" + "I" * (6 - q)) for q in range(7)]
+        kept = {steane.syndrome(p) for p in [Pauli.identity(7), *singles]}
+        code = dataclasses.replace(steane, recovery_table={
+            s: steane.recovery_table[s] for s in kept
+        })
+        with pytest.raises(ChannelError, match="incomplete recovery table"):
+            code.action_table
+        e = ["I"] * 49
+        e[3], e[4 * 7 + 5] = "X", "X"
+        verdict, records = classify_error(code, 2, Pauli.from_string("".join(e)))
+        assert verdict == "correctable"
+        assert [r.residual for r in records] == [("I",) * 7, ("I",)]
 
     def test_records_are_frozen(self):
         _, records = classify_error(CODE, 2, Pauli.identity(25))
@@ -675,3 +700,12 @@ class TestClassifyError:
     def test_length_check(self):
         with pytest.raises(ChannelError):
             classify_error(CODE, 2, Pauli.identity(24))
+
+    def test_negative_levels_refused(self):
+        with pytest.raises(ChannelError, match=r"^levels must be >= 0, got -1$"):
+            classify_error(CODE, -1, Pauli.identity(1))
+
+    @pytest.mark.parametrize("letter, verdict",
+                             [("I", "correctable"), ("X", "fatal"), ("Z", "fatal")])
+    def test_level_zero_reads_the_error_itself(self, letter, verdict):
+        assert classify_error(CODE, 0, Pauli.from_string(letter)) == (verdict, [])

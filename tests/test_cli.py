@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -22,6 +23,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run(argv):
     return main(argv)
+
+
+def _seeded_error(n, seed, rate):
+    """A fixed n-qubit error: each qubit is hit with probability rate, by X,
+    Y or Z alike; random.Random.random gives the same stream on every
+    platform."""
+    rng = random.Random(seed)
+    return "".join("XYZ"[int(3 * rng.random())] if rng.random() < rate else "I"
+                   for _ in range(n))
 
 
 class TestExitCodes:
@@ -42,6 +52,13 @@ class TestExitCodes:
     def test_decode_wrong_length_error_refused(self, code, n, capsys):
         assert run(["decode", "--code", *code, "--error", "XX"]) == 2
         assert capsys.readouterr().err == f"error: error must act on {n} qubits\n"
+
+    def test_negative_levels_refused(self, tmp_path, capsys):
+        out = tmp_path / "classify.json"
+        argv = ["classify", "--levels", "-1", "--error", "X", "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: levels must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "code.json"
@@ -344,9 +361,10 @@ class TestGoldenArtifacts:
         assert run(["tiling", "--L", "25", "--svg", str(svg), "--out", str(out)]) == 0
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == self.TILING_25_SVG
 
-    # one invocation per subcommand, the scan, a refusal (exit 2) and a usage
-    # error (exit 1): (argv, exit code, SHA-256 of stdout, of stderr and of
-    # the --svg file, which is asked for when its digest is given)
+    # one invocation per subcommand, deeper Shor and Steane classifications,
+    # the scan, a refusal (exit 2) and a usage error (exit 1): (argv, exit
+    # code, SHA-256 of stdout, of stderr and of the --svg file, which is asked
+    # for when its digest is given)
     INVOCATIONS = {
         "code": (
             ["code", "--code", "steane"], 0,
@@ -382,6 +400,20 @@ class TestGoldenArtifacts:
         "classify": (
             ["classify", "--code", "five-qubit", "--levels", "2", "--error", "XZ" + "I" * 23], 0,
             "ca5709788322d39fd2283a4f518ef4779876c51e34392e24d7f4cae24d3c60c7",
+            "fd01e6726717b8d213090ca522794e70bcc729e2fd80d9e854a2c15216023ccd",
+            None,
+        ),
+        "classify-shor": (
+            ["classify", "--code", "shor", "--levels", "2",
+             "--error", _seeded_error(9**2, 3, 0.08)], 0,
+            "92477754e3788d816aaa413ad85384e65b0c5b051f2edc96cf512a8803b4a227",
+            "fd01e6726717b8d213090ca522794e70bcc729e2fd80d9e854a2c15216023ccd",
+            None,
+        ),
+        "classify-steane": (
+            ["classify", "--code", "steane", "--levels", "3",
+             "--error", _seeded_error(7**3, 2, 0.04)], 0,
+            "b8ef1132c15aa2977c9444b34c406d5afa9d4da1f9f80a796d7585edfbb20b3f",
             "fd01e6726717b8d213090ca522794e70bcc729e2fd80d9e854a2c15216023ccd",
             None,
         ),
