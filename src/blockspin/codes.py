@@ -471,9 +471,10 @@ def toric_plaquette_generator(L: int, x: int, y: int) -> Pauli:
 
 # The code holds 2L^2 - 2 generators of 2L^2 bits each, so memory grows as L^4
 # (L = 1000 would need ~500 GB) and the `toric` scan time as about L^5.  In
-# process, on 2 shared cores, `toric --L 25 / 33 / 41` takes 1.4 / 5.8 / 20 s
-# (peak RSS 19 / 21 / 27 MB) and `code --code toric` 0.19 / 0.55 / 1.4 s (21 /
-# 31 / 51 MB); the cap keeps a `toric` run near 20 s and admits L = 33
+# process (`cli.main` after import, Python 3.11, 2 shared cores), `toric --L
+# 25 / 33 / 41` takes 1.4-1.9 / 5.7-6.1 / 17-20 s (peak RSS 19 / 21 / 27 MB) and
+# `code --code toric` 0.07 / 0.11 / 0.13 s (17.5 / 21 / 29 MB); the cap keeps a
+# `toric` run near 20 s and admits L = 33
 TORIC_L_CAP = 41
 
 
@@ -489,15 +490,9 @@ def toric_code(L: int) -> StabilizerCode:
     if L > TORIC_L_CAP:
         raise CodeError(f"toric code L={L} exceeds cap {TORIC_L_CAP}")
     n = 2 * L * L
-    gens = []
-    for y in range(L):
-        for x in range(L):
-            if (x, y) != (L - 1, L - 1):
-                gens.append(toric_site_generator(L, x, y))
-    for y in range(L):
-        for x in range(L):
-            if (x, y) != (L - 1, L - 1):
-                gens.append(toric_plaquette_generator(L, x, y))
+    cells = [(x, y) for y in range(L) for x in range(L)][:-1]  # all but (L-1, L-1)
+    checks = (toric_site_generator, toric_plaquette_generator)
+    gens = [check(L, x, y) for check in checks for x, y in cells]
 
     def row(kind: str) -> int:  # the kind's edges along y = 0
         return _edge_bits(L, [toric_edge_index(L, kind, t, 0) for t in range(L)])

@@ -53,31 +53,35 @@ class ToricState:
         return 2 * self.L * self.L
 
 
+# block shapes as (dx, dy) offsets from the anchor, in multiplication order:
+# the RESCALE_FACTOR x RESCALE_FACTOR vertex block and a face's plus cluster
+SITE_BLOCK = tuple(
+    (dx, dy) for dy in range(RESCALE_FACTOR) for dx in range(RESCALE_FACTOR)
+)
+PLUS_CLUSTER = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _block_product(state: ToricState, generator, anchor, offsets) -> Pauli:
+    """Product of generator(L, x, y) over the cells anchor + offsets."""
+    if state.L < 3:
+        raise ToricError("rescaled generators need L >= 3")
+    x0, y0 = anchor
+    out = Pauli.identity(state.n)
+    for dx, dy in offsets:
+        out = multiply(out, generator(state.L, x0 + dx, y0 + dy))
+    return out
+
+
 def rescaled_site(state: ToricState, v: tuple[int, int]) -> Pauli:
     """Product of the 9 X-site generators of the 3x3 vertex block at v;
     supported on the 12 outgoing boundary edges."""
-    L = state.L
-    if L < 3:
-        raise ToricError("rescaled site needs L >= 3")
-    x0, y0 = v
-    out = Pauli.identity(state.n)
-    for dy in range(3):
-        for dx in range(3):
-            out = multiply(out, toric_site_generator(L, x0 + dx, y0 + dy))
-    return out
+    return _block_product(state, toric_site_generator, v, SITE_BLOCK)
 
 
 def rescaled_plaquette(state: ToricState, f: tuple[int, int]) -> Pauli:
     """Product of the 5 Z-plaquettes of the plus cluster centered at f;
     supported on the 12 perimeter edges."""
-    L = state.L
-    if L < 3:
-        raise ToricError("rescaled plaquette needs L >= 3")
-    x0, y0 = f
-    out = Pauli.identity(state.n)
-    for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-        out = multiply(out, toric_plaquette_generator(L, x0 + dx, y0 + dy))
-    return out
+    return _block_product(state, toric_plaquette_generator, f, PLUS_CLUSTER)
 
 
 def swap_generating_set(
@@ -161,19 +165,19 @@ def cardinality_scan(
     edges = sorted(set().union(*regions))
     entropies = _region_entropies(state.group, [[q] for q in edges] + regions)
     single = dict(zip(edges, entropies))
-    rows = []
-    n_t = None
-    for region, s in zip(regions, entropies[len(edges) :]):
-        corr = sum(single[q] for q in region) - s
-        rows.append(ScanRow(len(region), s, corr))
-        if corr > 0 and len(region) < n_total:
-            if n_t is None or len(region) > n_t:
-                n_t = len(region)
-    return CardinalityScan(rows=tuple(rows), characteristic_cardinality=n_t)
+    rows = tuple(
+        ScanRow(len(region), s, sum(single[q] for q in region) - s)
+        for region, s in zip(regions, entropies[len(edges) :])
+    )
+    correlated = [r.region_size for r in rows if r.correlation > 0]
+    n_t = max((k for k in correlated if k < n_total), default=None)
+    return CardinalityScan(rows=rows, characteristic_cardinality=n_t)
 
 
 @dataclass(frozen=True)
 class RescalingCheck:
+    """verify_rescaling's verdicts; swaps_preserve_group is True or the call raised."""
+
     anchors_checked: int
     site_weights_ok: bool
     plaquette_weights_ok: bool
@@ -185,36 +189,26 @@ def verify_rescaling(state: ToricState) -> RescalingCheck:
     """Structural re-check of the rescaled generator pattern.
 
     At every anchor on the RESCALE_FACTOR-sublattice: the big site and
-    plaquette generators have weight 12 and commute with all small
-    generators of the other type.  At the origin, swapping the plaquette
-    for the big one preserves the group, or `swap_generating_set` raises
-    ToricError.  This verifies the self-similar toric pattern without
-    simulating a smaller torus.
+    plaquette generators have weight 12 and commute with every generator of
+    the state of the other Pauli type (the Z side holds the plaquettes and
+    the two Z loops).  At the origin, swapping the plaquette for the big one
+    preserves the group, or `swap_generating_set` raises ToricError.  This
+    verifies the self-similar toric pattern without simulating a smaller
+    torus.
     """
-    L = state.L
-    step = RESCALE_FACTOR
-    anchors = [(x, y) for y in range(0, L, step) for x in range(0, L, step)]
-    cells = [(x, y) for y in range(L) for x in range(L)]
-    sites = [toric_site_generator(L, x, y) for x, y in cells]
-    plaquettes = [toric_plaquette_generator(L, x, y) for x, y in cells]
-    site_ok = True
-    plaq_ok = True
-    cross_ok = True
-    for ax, ay in anchors:
-        big_site = rescaled_site(state, (ax, ay))
-        big_plaq = rescaled_plaquette(state, (ax, ay))
-        site_ok &= big_site.weight == 12
-        plaq_ok &= big_plaq.weight == 12
-        cross_ok &= all(commutes(big_site, p) for p in plaquettes)
-        cross_ok &= all(commutes(big_plaq, s) for s in sites)
+    axis = range(0, state.L, RESCALE_FACTOR)
+    anchors = [(x, y) for y in axis for x in axis]
+    pairs = [(rescaled_site(state, a), rescaled_plaquette(state, a)) for a in anchors]
+    x_type = [g for g in state.group.generators if not g.z]
+    z_type = [g for g in state.group.generators if not g.x]
     # the origin's plaquette is in the generating set, which omits (L-1, L-1)
-    center_plaq = toric_plaquette_generator(L, 0, 0)
-    swap_generating_set(state, center_plaq, rescaled_plaquette(state, (0, 0)))
+    swap_generating_set(state, toric_plaquette_generator(state.L, 0, 0), pairs[0][1])
     return RescalingCheck(
-        anchors_checked=len(anchors),
-        site_weights_ok=site_ok,
-        plaquette_weights_ok=plaq_ok,
-        cross_commutation_ok=cross_ok,
+        anchors_checked=len(pairs),
+        site_weights_ok=all(site.weight == 12 for site, _ in pairs),
+        plaquette_weights_ok=all(plaq.weight == 12 for _, plaq in pairs),
+        cross_commutation_ok=all(commutes(s, g) for s, _ in pairs for g in z_type)
+        and all(commutes(p, g) for _, p in pairs for g in x_type),
         swaps_preserve_group=True,
     )
 

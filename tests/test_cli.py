@@ -98,6 +98,12 @@ class TestExitCodes:
         assert run([*argv, "--L", str(10**6), "--out", "-"]) == 2
         assert "exceeds cap" in capsys.readouterr().err
 
+    def test_small_toric_lattice_refused(self, tmp_path, capsys):
+        out = tmp_path / "toric.csv"
+        assert run(["toric", "--L", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: rescaled generators need L >= 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["inf", "nan", "2.5"])
     def test_logistic_scan_count_must_be_whole(self, count, tmp_path, capsys):
         out = tmp_path / "scan.csv"

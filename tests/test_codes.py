@@ -270,6 +270,29 @@ class TestDecoder:
         assert abs((u @ encode_zero(code))[0]) == pytest.approx(1.0, abs=1e-10)
 
 
+FIVE = five_qubit_code()
+FIVE_CHECKS = FIVE.stabilizer.generators
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"stabilizer": StabilizerGroup(5, FIVE_CHECKS[:3] + FIVE_CHECKS[:1])},
+             "not independent"),
+            ({"stabilizer": StabilizerGroup(5, (Pauli.from_string("ZIIII"),) + FIVE_CHECKS[1:])},
+             "generators 0 and 1 anticommute"),
+            ({"logical_z": FIVE.logical_x}, "must anticommute"),
+            ({"logical_z": [Pauli.from_string("ZIIII")]}, "fails to commute with checks"),
+        ],
+        ids=["repeated", "anticommuting", "logical-pair", "logical-vs-checks"],
+    )
+    def test_refusals(self, change, match):
+        FIVE.validate()
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(FIVE, **change).validate()
+
+
 class TestOtherCodes:
     @pytest.mark.parametrize("builder", [steane_code, shor_code])
     def test_validate(self, builder):
@@ -350,6 +373,10 @@ class TestToric:
         assert not commutes(code.logical_x[0], code.logical_z[0])
         assert not commutes(code.logical_x[1], code.logical_z[1])
         assert commutes(code.logical_x[0], code.logical_z[1])
+
+    @pytest.mark.parametrize("side", range(2, 10))
+    def test_validate(self, side):
+        toric_code(side).validate()
 
     def test_lattice_cap_boundary(self):
         L = codes.TORIC_L_CAP

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blockspin import pauli
+from blockspin import pauli, toric_rescale
 from blockspin.codes import toric_plaquette_generator, toric_site_generator
 from blockspin.pauli import commutes, gf2_rank, multiply
 from blockspin.toric_rescale import (
@@ -38,14 +38,39 @@ class TestRescaledGenerators:
         assert big.weight == 12
         assert not big.x_bits.any()  # pure Z type
 
-    def test_big_site_is_product_of_nine(self):
-        # plus cluster of site generators around an anchor, 3x3 block
+    @pytest.mark.parametrize(
+        "kind, side, anchor",
+        [
+            (kind, side, (x, y))
+            for kind in ("site", "plaquette")
+            for side in (3, 4, 5, 9, 10)
+            for y in range(0, side, 3)
+            for x in range(0, side, 3)
+        ],
+        ids=lambda v: f"L{v}" if isinstance(v, int) else str(v).replace(" ", ""),
+    )
+    def test_big_site_is_product_of_nine(self, kind, side, anchor):
+        # reference products, written out per kind: the 9 site generators of
+        # the 3x3 vertex block at the anchor, or the 5 plaquettes of the plus
+        # cluster centered on it, at every anchor of the 3-sublattice
+        x0, y0 = anchor
         prod = None
-        for dx in range(3):
-            for dy in range(3):
-                g = toric_site_generator(L, dx % L, dy % L)
+        if kind == "site":
+            for dx in range(3):
+                for dy in range(3):
+                    g = toric_site_generator(side, (x0 + dx) % side, (y0 + dy) % side)
+                    prod = g if prod is None else multiply(prod, g)
+            assert prod == rescaled_site(ToricState(side), anchor)
+        else:
+            for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                g = toric_plaquette_generator(side, (x0 + dx) % side, (y0 + dy) % side)
                 prod = g if prod is None else multiply(prod, g)
-        assert prod == rescaled_site(STATE, (0, 0))
+            assert prod == rescaled_plaquette(ToricState(side), anchor)
+
+    @pytest.mark.parametrize("rescale", [rescaled_site, rescaled_plaquette])
+    def test_small_torus_refused(self, rescale):
+        with pytest.raises(ToricError, match="^rescaled generators need L >= 3$"):
+            rescale(ToricState(2), (0, 0))
 
     def test_big_generators_commute_with_small_opposite_type(self):
         big_site = rescaled_site(STATE, (0, 0))
@@ -265,6 +290,21 @@ class TestVerifyRescaling:
         assert main(["toric", "--L", "5"]) == 0
         assert phased == [len(full)] * 2
         assert ranked and full not in ranked
+
+    @pytest.mark.parametrize("side", [5, 9])
+    def test_builds_each_block_once(self, side, monkeypatch):
+        # 9 + 5 small generators per anchor for its (site, plaquette) pair,
+        # plus the origin's plaquette to drop in the swap; the small
+        # generators themselves come from the state's group
+        state = ToricState(side)
+        calls = []
+        for name in ("toric_site_generator", "toric_plaquette_generator"):
+            real = getattr(toric_rescale, name)
+            monkeypatch.setattr(
+                toric_rescale, name, lambda *a, real=real: calls.append(a) or real(*a)
+            )
+        check = verify_rescaling(state)
+        assert len(calls) == 14 * check.anchors_checked + 1
 
     def test_structural_check(self):
         check = verify_rescaling(STATE)
