@@ -64,10 +64,6 @@ class PauliChannel:
         return np.array(self.probs, dtype=float)
 
     @classmethod
-    def from_array(cls, a) -> "PauliChannel":
-        return cls(*map(float, a))
-
-    @classmethod
     def identity(cls) -> "PauliChannel":
         return cls(1.0, 0.0, 0.0, 0.0)
 

@@ -1,9 +1,9 @@
 """Concrete stabilizer codes and their machinery.
 
 Provides the 5-qubit perfect code, toric codes on an LxL torus, dense
-codeword construction, the Knill-Laflamme pairwise correctability check,
-syndrome lookup tables, exact Clifford decoder synthesis, and the
-tile-Hamiltonian built from the check operators.
+logical-|0> construction, the Knill-Laflamme pairwise correctability check,
+syndrome lookup tables, and the tile-Hamiltonian built from the check
+operators.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ from ._numpy import np
 
 from .pauli import (
     Pauli,
-    PauliError,
     StabilizerGroup,
     _pack,
-    _rref,
     commutes,
     contains,
     gf2_rank,
     inverse,
     multiply,
-    stabilizer_entropy,
 )
 
 
@@ -101,7 +98,11 @@ class StabilizerCode:
         try:
             correction = self.recovery_table[s]
         except KeyError:
-            raise CodeError(f"no recovery entry for syndrome {s}") from None
+            defects = [i for i, bit in enumerate(s) if bit]
+            raise CodeError(
+                f"no recovery entry for syndrome with defects at checks {defects}"
+                f" (of {len(s)})"
+            ) from None
         return multiply(correction, error)
 
     def logical_class(self, residual: Pauli) -> str:
@@ -224,17 +225,6 @@ def five_qubit_code() -> StabilizerCode:
     return _small_code(("ZZXIX", "XZZXI", "IXZZX", "XIXZZ"))
 
 
-def trivial_code() -> StabilizerCode:
-    """[[1,1]] identity encoding; useful as a base case."""
-    return StabilizerCode(
-        n=1,
-        k=1,
-        stabilizer=StabilizerGroup(1, []),
-        logical_x=[Pauli.from_string("X")],
-        logical_z=[Pauli.from_string("Z")],
-    )
-
-
 def steane_code() -> StabilizerCode:
     """The [[7,1,3]] CSS code (optional constructor, same interface)."""
     return _small_code(
@@ -256,13 +246,20 @@ def shor_code() -> StabilizerCode:
 _AMPLITUDE_ATOL = 1e-9
 
 
-def _joint_eigenvector(n: int, ops) -> np.ndarray:
-    """The one joint +1 eigenvector of commuting Paulis: a seeded generic
-    vector projected by each (1+P)/2, so no component vanishes by accident,
-    normalized, its first nonzero amplitude made positive real."""
+def encode_zero(code: StabilizerCode) -> np.ndarray:
+    """Dense logical-|0> amplitude vector: the joint +1 eigenvector of the
+    checks and Zbar.
+
+    A seeded generic vector is projected by each (1+P)/2, so no component
+    vanishes by accident, then normalized, its first nonzero amplitude made
+    positive real."""
+    if code.n > 12:
+        raise CodeError("dense codewords limited to n <= 12")
+    if code.k != 1:
+        raise CodeError("encode_zero requires k=1")
     rng = np.random.default_rng(0)
-    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    for g in ops:
+    vec = rng.normal(size=2**code.n) + 1j * rng.normal(size=2**code.n)
+    for g in (*code.stabilizer.generators, code.logical_z[0]):
         vec = 0.5 * (vec + g.apply(vec))
     norm = np.linalg.norm(vec)
     if norm < _AMPLITUDE_ATOL:
@@ -270,21 +267,6 @@ def _joint_eigenvector(n: int, ops) -> np.ndarray:
     vec = vec / norm
     lead = vec[np.flatnonzero(np.abs(vec) > _AMPLITUDE_ATOL)[0]]
     return vec * (abs(lead) / lead)
-
-
-def encode_zero(code: StabilizerCode) -> np.ndarray:
-    """Dense logical-|0> amplitude vector: the joint +1 eigenvector of the
-    checks and Zbar, its first nonzero amplitude positive real."""
-    if code.n > 12:
-        raise CodeError("dense codewords limited to n <= 12")
-    if code.k != 1:
-        raise CodeError("encode_zero requires k=1")
-    return _joint_eigenvector(code.n, (*code.stabilizer.generators, code.logical_z[0]))
-
-
-def encode_one(code: StabilizerCode) -> np.ndarray:
-    zero = encode_zero(code)
-    return code.logical_x[0].apply(zero)
 
 
 def check_correctable(
@@ -305,133 +287,6 @@ def check_correctable(
             if status == "not_member":
                 return False, (ea, eb)
     return True, None
-
-
-@dataclass(frozen=True)
-class CliffordDecoder:
-    """A Clifford map taking the code frame to the decoded frame.
-
-    Stored as the images of single-qubit X_j / Z_j under conjugation by the
-    decoding unitary U, plus the symplectic frame data needed to build U
-    densely: U maps encoded states to (data qubit) x |0...0> on n-1 ancillas.
-    The decoder is frozen and its fields are tuples.
-    """
-
-    n: int
-    image_x: tuple[Pauli, ...]
-    image_z: tuple[Pauli, ...]
-    frame_in: tuple[Pauli, ...]   # Xbar, Zbar, M_1.., D_1.. on the code side
-    frame_out: tuple[Pauli, ...]  # X1, Z1, Z_2.., X_2.. on the decoded side
-
-    def __post_init__(self):
-        for name in ("image_x", "image_z", "frame_in", "frame_out"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def conjugate(self, p: Pauli) -> Pauli:
-        """Exact image U p U^dag, phases included: the factors of
-        p = i^e prod_j X_j^{x_j} Z_j^{z_j} multiply with no sign, so the
-        image is i^e times the product of their images."""
-        if p.n != self.n:
-            raise PauliError("length mismatch")
-        n = self.n
-        out = Pauli.identity(n)
-        for j in range(n):
-            bit = 1 << (n - 1 - j)
-            if p.x & bit:
-                out = multiply(out, self.image_x[j])
-            if p.z & bit:
-                out = multiply(out, self.image_z[j])
-        return Pauli.packed(n, out.x, out.z, out.phase_exp + p.phase_exp)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense unitary (n <= 12), mapping code frame to product frame.
-
-        Column b of U^dag is the image of |b>: the x-like frame members
-        (Xbar, D_i) of b's set bits applied to the joint +1 eigenvector of
-        the z-like ones (Zbar, M_i), the image of |0...0>."""
-        if self.n > 12:
-            raise CodeError("dense decoder limited to n <= 12")
-        n, m = self.n, self.n - 1
-        z_like = (self.frame_in[1], *self.frame_in[2 : 2 + m])
-        x_like = (self.frame_in[0], *self.frame_in[2 + m :])
-        vec = _joint_eigenvector(n, z_like)
-        cols = np.zeros((2**n, 2**n), dtype=complex)
-        for b in range(2**n):
-            state = vec
-            for j in range(n):
-                if b >> (n - 1 - j) & 1:
-                    state = x_like[j].apply(state)
-            cols[:, b] = state
-        return cols.conj().T
-
-
-def _solve_gf2(rows: list[int], b) -> int | None:
-    """One solution x of A x = b over GF(2), or None.
-
-    The rows of A are packed ints (column 0 at the most significant bit),
-    b holds one bit per row, and x comes back packed like a row.  Takes the
-    RREF of [A|b]: the system is inconsistent when a pivot lands in the b
-    column.  Free variables are 0 and each pivot variable is its row's b
-    bit, so the solution is fixed by the RREF.  A pivot in column j of A is
-    bit ncols - j of the augmented row, so its variable is bit ncols-1-j of
-    x: one below the pivot bit.
-    """
-    x = 0
-    for row, _ in _rref([r << 1 | bit & 1 for r, bit in zip(rows, b)])[0]:
-        if row == 1:
-            return None
-        x |= (row & 1) << (row.bit_length() - 2)
-    return x
-
-
-def _destabilizers(code: StabilizerCode) -> list[Pauli]:
-    """Hermitian D_i with <D_i, M_j> = delta_ij, commuting with logicals and
-    with each other; completes the symplectic frame."""
-    n = code.n
-    gens = code.stabilizer.generators
-    found: list[Pauli] = []
-    for i in range(len(gens)):
-        ops = [*gens, *code.logical_x, *code.logical_z, *found]
-        # [z|x] rows, so that row . [x_d|z_d] is the symplectic form with d
-        rows = [p.z << n | p.x for p in ops]
-        sol = _solve_gf2(rows, [j == i for j in range(len(ops))])
-        if sol is None:
-            raise CodeError("destabilizer synthesis failed: inconsistent generators")
-        found.append(Pauli.packed(n, sol >> n, sol & ((1 << n) - 1)).hermitian_phase())
-    return found
-
-
-def synthesize_decoder(code: StabilizerCode) -> CliffordDecoder:
-    """Clifford taking M_i -> Z_{i+1}, Xbar -> X_1, Zbar -> Z_1 exactly.
-
-    The frame pairs (Xbar, Zbar) and (M_i, D_i) are symplectic: a pair
-    anticommutes and all else commutes.  So X_j or Z_j is, up to phase, the
-    product of the frame members whose partner anticommutes with it; its
-    image is the product of the matching decoded-side members, with the
-    phase that makes the code-side product equal X_j or Z_j.
-    """
-    if code.k != 1:
-        raise CodeError("decoder synthesis requires k=1")
-    n = code.n
-    gens = code.stabilizer.generators
-    dests = _destabilizers(code)
-    frame_in = [code.logical_x[0], code.logical_z[0], *gens, *dests]
-    partners = [code.logical_z[0], code.logical_x[0], *dests, *gens]
-    xs = [Pauli.packed(n, 1 << (n - 1 - j), 0) for j in range(n)]
-    zs = [Pauli.packed(n, 0, 1 << (n - 1 - j)) for j in range(n)]
-    frame_out = [xs[0], zs[0], *zs[1:], *xs[1:]]
-    images: list[Pauli] = []
-    for target in (*xs, *zs):
-        code_side = image = Pauli.identity(n)
-        for pin, partner, pout in zip(frame_in, partners, frame_out):
-            if not commutes(target, partner):
-                code_side = multiply(code_side, pin)
-                image = multiply(image, pout)
-        if (code_side.x, code_side.z) != (target.x, target.z):
-            raise CodeError("frame does not span the Pauli group")
-        phase = image.phase_exp - code_side.phase_exp
-        images.append(Pauli.packed(n, image.x, image.z, phase))
-    return CliffordDecoder(n, images[:n], images[n:], frame_in, frame_out)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +405,3 @@ def tile_hamiltonian_spectrum(
     ground = float(evals[0])
     degeneracy = int(np.count_nonzero(evals < ground + atol))
     return ground, degeneracy
-
-
-def reduced_state_entropy(code: StabilizerCode, region: list[int]) -> int:
-    """Entanglement entropy (bits) of a region of the logical-|0> codeword."""
-    gens = code.stabilizer.generators + code.logical_z
-    return stabilizer_entropy(code.n, gens, region)

@@ -84,9 +84,6 @@ class AlgebraDecomposition:
     def commutant_dim(self) -> int:
         return sum(b.multiplicity**2 for b in self.blocks)
 
-    def check_dimensions(self) -> bool:
-        return sum(b.irrep_dim * b.multiplicity for b in self.blocks) == self.dim
-
 
 def _eigenclusters(gens: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Eigenbasis V of h1 + h2^2 and the index clusters of its spectrum.

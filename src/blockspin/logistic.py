@@ -74,11 +74,6 @@ def map_orbit(mu: float, kappa: float, n0: float, steps: int) -> list[float]:
     return orbit
 
 
-def map_fixed_points(mu: float, kappa: float) -> tuple[float, float]:
-    """The extinction and steady-state fixed points of the map."""
-    return 0.0, kappa * (1.0 - 1.0 / mu)
-
-
 @dataclass(frozen=True)
 class CycleReport:
     kind: str            # fixed | period-k | aperiodic-within-window

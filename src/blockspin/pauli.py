@@ -134,13 +134,6 @@ class Pauli:
     def __str__(self) -> str:
         return self.to_string()
 
-    def is_identity(self) -> bool:
-        return self.phase_exp == 0 and not self.x | self.z
-
-    def hermitian_phase(self) -> "Pauli":
-        """Same bit content with the phase that makes the operator Hermitian."""
-        return Pauli.packed(self.n, self.x, self.z, (self.x & self.z).bit_count() % 2)
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (n small); qubit 0 is the most significant bit."""
         if self.n > 12:

@@ -231,7 +231,7 @@ class TestWeightEnumerator:
         cases = [rng.dirichlet(np.ones(4)) ** 3 for _ in range(40)]
         cases += [[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
         for raw in cases:
-            ch = PauliChannel.from_array(np.asarray(raw) / np.sum(raw))
+            ch = PauliChannel(*map(float, np.asarray(raw) / np.sum(raw)))
             p = [Fraction(v) for v in ch.probs]
             monomials = [math.prod(v**e for v, e in zip(p, row)) for row in table.exps]
             exact = [sum(c * m for c, m in zip(row, monomials)) for row in table.coeff]
@@ -254,7 +254,7 @@ class TestWeightEnumerator:
                 down = _brute_force_map(name, p - step)
                 jac[:, j - 1] = (up - down)[1:] / (2 * h)
             fd = sorted(np.linalg.eigvals(jac), key=lambda v: -abs(v))
-            exact = [ev for ev, _ in linearize(code, PauliChannel.from_array(p))]
+            exact = [ev for ev, _ in linearize(code, PauliChannel(*map(float, p)))]
             # atol: central differences round to about eps / h = 1e-10
             np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-9)
 

@@ -104,6 +104,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: rescaled generators need L >= 3\n"
         assert not out.exists()
 
+    def test_untabulated_toric_syndrome_names_its_defects(self, tmp_path, capsys):
+        # X on edge 0 of the L = 41 torus flips plaquettes (0, 0) and (0, 40),
+        # checks 1680 and 3320 of the 3360 independent ones
+        out = tmp_path / "decode.json"
+        error = "X" + "I" * (2 * 41 * 41 - 1)
+        argv = ["decode", "--code", "toric", "--L", "41", "--error", error, "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no recovery entry for syndrome with defects at checks"
+            " [1680, 3320] (of 3360)\n"
+        )
+        assert len(err) < 200
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["inf", "nan", "2.5"])
     def test_logistic_scan_count_must_be_whole(self, count, tmp_path, capsys):
         out = tmp_path / "scan.csv"

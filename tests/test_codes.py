@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from blockspin import codes
 from blockspin.codes import (
@@ -12,21 +11,16 @@ from blockspin.codes import (
     StabilizerCode,
     TileHamiltonian,
     _logical_class_index,
-    _solve_gf2,
     build_recovery_table,
     check_correctable,
     encode_zero,
-    encode_one,
     five_qubit_code,
-    reduced_state_entropy,
     shor_code,
     steane_code,
-    synthesize_decoder,
     tile_hamiltonian_spectrum,
     toric_code,
     toric_plaquette_generator,
     toric_site_generator,
-    trivial_code,
 )
 from blockspin.pauli import (
     Pauli,
@@ -35,6 +29,7 @@ from blockspin.pauli import (
     gf2_rank,
     multiply,
     random_pauli,
+    stabilizer_entropy,
 )
 
 PERFECT_GENS = ["ZZXIX", "XZZXI", "IXZZX", "XIXZZ"]
@@ -123,14 +118,35 @@ class TestCodewords:
         assert vec[int("00101", 2)] == pytest.approx(0.25, abs=1e-12)
 
     def test_trivial_code_zero(self):
-        vec = encode_zero(trivial_code())
+        # the [[1,1]] identity encoding: no checks, bare X and Z logicals
+        code = StabilizerCode(
+            n=1,
+            k=1,
+            stabilizer=StabilizerGroup(1, []),
+            logical_x=[Pauli.from_string("X")],
+            logical_z=[Pauli.from_string("Z")],
+        )
+        vec = encode_zero(code)
         assert np.allclose(vec, [1.0, 0.0])
 
     def test_encode_one_orthogonal(self):
         code = five_qubit_code()
-        zero, one = encode_zero(code), encode_one(code)
+        zero = encode_zero(code)
+        one = code.logical_x[0].apply(zero)
         assert abs(np.vdot(zero, one)) < 1e-12
         assert np.linalg.norm(one) == pytest.approx(1.0)
+
+    def test_codeword_without_all_zeros_component(self):
+        # |0bar> = |01>: the all-zeros ket is not in the code space
+        code = StabilizerCode(
+            n=2,
+            k=1,
+            stabilizer=StabilizerGroup(2, [Pauli.from_string("-ZZ")]),
+            logical_x=[Pauli.from_string("XX")],
+            logical_z=[Pauli.from_string("ZI")],
+        )
+        code.validate()
+        assert np.allclose(encode_zero(code), [0, 1, 0, 0], atol=1e-12)
 
     def test_stabilizers_fix_codeword(self):
         code = five_qubit_code()
@@ -170,104 +186,6 @@ class TestCorrectability:
         assert code.logical_class(code.recover(prod)) != "I" or code.logical_class(
             prod
         ) != "I"
-
-
-class TestDecoder:
-    def test_trivial_code_identity(self):
-        dec = synthesize_decoder(trivial_code())
-        assert np.allclose(dec.to_matrix(), np.eye(2))
-
-    @pytest.mark.parametrize(
-        "builder", [five_qubit_code, steane_code, shor_code],
-        ids=["five-qubit", "steane", "shor"],
-    )
-    def test_maps_codeword_to_product_state(self, builder):
-        code = builder()
-        u = synthesize_decoder(code).to_matrix()
-        dim = 2**code.n
-        assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-10)
-        out = u @ encode_zero(code)
-        assert abs(out[0]) == pytest.approx(1.0, abs=1e-10)
-        out_one = u @ encode_one(code)
-        assert abs(out_one[dim // 2]) == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize(
-        "builder", [five_qubit_code, steane_code, shor_code],
-        ids=["five-qubit", "steane", "shor"],
-    )
-    def test_conjugation_matches_dense(self, builder):
-        code = builder()
-        dec = synthesize_decoder(code)
-        u = dec.to_matrix()
-        rng = np.random.default_rng(11)
-        phased = [
-            Pauli.packed(code.n, p.x, p.z, int(rng.integers(4)))
-            for p in (random_pauli(rng, code.n) for _ in range(20))
-        ]
-        for p in (*dec.frame_in, *phased):
-            img = dec.conjugate(p)
-            assert np.allclose(u @ p.to_matrix() @ u.conj().T, img.to_matrix())
-
-    def test_conjugation_of_first_generator(self):
-        code = five_qubit_code()
-        dec = synthesize_decoder(code)
-        m1 = code.stabilizer.generators[0]
-        assert dec.conjugate(m1) == Pauli.from_string("IZIII")
-
-    def test_logical_frame_images(self):
-        code = five_qubit_code()
-        dec = synthesize_decoder(code)
-        assert dec.conjugate(code.logical_x[0]) == Pauli.from_string("XIIII")
-        assert dec.conjugate(code.logical_z[0]) == Pauli.from_string("ZIIII")
-
-    def test_five_qubit_images_pinned(self):
-        dec = synthesize_decoder(five_qubit_code())
-        assert [p.to_string() for p in dec.image_x] == [
-            "XXIII", "XXXII", "XIXXI", "XIIXX", "XIIIX",
-        ]
-        assert [p.to_string() for p in dec.image_z] == [
-            "ZIYIY", "-ZZZXZ", "ZYIIY", "-ZZXZZ", "ZYIYI",
-        ]
-
-    @pytest.mark.parametrize(
-        "builder", [trivial_code, five_qubit_code, steane_code, shor_code],
-        ids=["trivial", "five-qubit", "steane", "shor"],
-    )
-    def test_one_elimination_per_destabilizer(self, builder, monkeypatch):
-        # the images come from the frame pairing; only the n-1
-        # destabilizers are solved for
-        calls = []
-        real = codes._rref
-        monkeypatch.setattr(
-            codes, "_rref", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
-        code = builder()
-        synthesize_decoder(code)
-        assert len(calls) == code.n - 1
-
-    def test_frozen_with_tuple_fields(self):
-        dec = synthesize_decoder(five_qubit_code())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            dec.image_x = ()
-        assert all(
-            isinstance(getattr(dec, f), tuple)
-            for f in ("image_x", "image_z", "frame_in", "frame_out")
-        )
-
-    def test_codeword_without_all_zeros_component(self):
-        # |0bar> = |01>: the all-zeros ket is not in the code space
-        code = StabilizerCode(
-            n=2,
-            k=1,
-            stabilizer=StabilizerGroup(2, [Pauli.from_string("-ZZ")]),
-            logical_x=[Pauli.from_string("XX")],
-            logical_z=[Pauli.from_string("ZI")],
-        )
-        code.validate()
-        assert np.allclose(encode_zero(code), [0, 1, 0, 0], atol=1e-12)
-        u = synthesize_decoder(code).to_matrix()
-        assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
-        assert abs((u @ encode_zero(code))[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 FIVE = five_qubit_code()
@@ -428,43 +346,27 @@ class TestTileHamiltonian:
             TileHamiltonian([0.0], [Pauli.from_string("Z")])
 
 
+def codeword_entropy(code: StabilizerCode, region: list[int]) -> int:
+    """Entropy (bits) of a region of the logical-|0> codeword, whose
+    stabilizer is the checks and Zbar."""
+    gens = code.stabilizer.generators + code.logical_z
+    return stabilizer_entropy(code.n, gens, region)
+
+
 class TestReducedEntropy:
     def test_five_qubit_single_site(self):
         code = five_qubit_code()
         # the perfect code's codeword is maximally mixed on any 2 qubits
-        assert reduced_state_entropy(code, [0]) == 1
-        assert reduced_state_entropy(code, [0, 1]) == 2
-        assert reduced_state_entropy(code, [0, 1, 2]) == 2
+        assert codeword_entropy(code, [0]) == 1
+        assert codeword_entropy(code, [0, 1]) == 2
+        assert codeword_entropy(code, [0, 1, 2]) == 2
 
     def test_complement_symmetry(self):
         code = five_qubit_code()
         for r in range(1, 5):
             for region in itertools.combinations(range(5), r):
                 comp = [q for q in range(5) if q not in region]
-                assert reduced_state_entropy(
-                    code, list(region)
-                ) == reduced_state_entropy(code, comp)
-
-
-class TestSolveGF2:
-    @given(st.integers(1, 6), st.integers(1, 8), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_against_brute_force(self, rows, cols, data):
-        bits = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
-        a = np.array(data.draw(st.lists(bits, min_size=rows, max_size=rows)),
-                     dtype=np.uint8)
-        b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows,
-                                        max_size=rows)), dtype=np.uint8)
-        solvable = any(
-            np.array_equal(a @ np.array(x) % 2, b)
-            for x in itertools.product((0, 1), repeat=cols)
-        )
-        # rows packed with column 0 at the most significant bit, x likewise
-        x = _solve_gf2([int("".join(map(str, row)), 2) for row in a.tolist()], b.tolist())
-        assert (x is not None) == solvable
-        if x is not None:
-            bits = np.array([x >> (cols - 1 - j) & 1 for j in range(cols)], dtype=np.uint8)
-            assert np.array_equal(a @ bits % 2, b)
+                assert codeword_entropy(code, list(region)) == codeword_entropy(code, comp)
 
 
 def test_logical_class_index_matches_pairing_table():

@@ -158,6 +158,7 @@ class TestOracles:
         ops, parts = random_star_algebra(rng, isotypes)
         dec = decompose(ops, seed=seed)
         found = sorted((b.irrep_dim, b.multiplicity) for b in dec.blocks)
+        # this also covers the space: random_star_algebra's dim is the isotypes' sum d*m
         assert found == sorted(isotypes)
         assert block_diagonal_residual(dec, ops) < 1e-8
         for b in dec.blocks:
@@ -235,7 +236,7 @@ class TestDecompose:
         assert blocks == [(2, 2), (4, 1)]
         assert dec.algebra_dim == 20
         assert dec.commutant_dim == 5
-        dec.check_dimensions()
+        assert sum(b.irrep_dim * b.multiplicity for b in dec.blocks) == dec.dim
 
     def test_four_qubit_blocks(self):
         dec = decompose(collective_noise_generators(4))

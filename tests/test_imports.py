@@ -1,16 +1,32 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and every name it defines is read.
 
-Stands in for a linter's unused-import rule.  `from __future__` imports and
-the re-exports of `__init__.py` are exempt.
+The first guard stands in for a linter's unused-import rule; `from
+__future__` imports and the re-exports of `__init__.py` are exempt.  The
+second keeps the library to what a result reads: a top-level function or
+class, or a non-dunder method, needs a reader other than the unit tests.
 """
 
 import ast
+import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blockspin"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "blockspin"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# names whose reader is a unit test by design
+READER_ALLOWLIST = {
+    "codes.check_correctable": "the Knill-Laflamme reference oracle the code tests check recovery against",
+    "codes.StabilizerCode.validate": "the consistency check the code tests run on every built-in code",
+    "codes.StabilizerCode.to_json": "writes the `code` artifact's document for the round-trip oracle",
+    "codes.StabilizerCode.from_json": "reads the `code` artifact back for the round-trip oracle",
+}
+
+IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,6 +42,69 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _words(node: ast.AST):
+    """The names one node reads: a Name, an Attribute's attribute, a name
+    imported from a module, or each part of a dotted-identifier string
+    (`getattr` tables and span names)."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (a.name for a in node.names)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if IDENTIFIER_PATH.fullmatch(node.value):
+            yield from node.value.split(".")
+
+
+def _reads(tree: ast.AST) -> Counter:
+    return Counter(w for node in ast.walk(tree) for w in _words(node))
+
+
+def _defined(nodes, kinds):
+    """The nodes of `kinds` among `nodes`, protocol (dunder) names left out."""
+    return [
+        node for node in nodes
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class and each
+    method of a top-level class, dunders left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in _defined(tree.body, (*functions, ast.ClassDef)):
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in _defined(node.body, functions):
+                yield f"{node.name}.{item.name}", item
+
+
+def unread_names(
+    modules: dict[str, str], readers: list[str], bases: set[str]
+) -> list[str]:
+    """Qualified names defined in `modules` (module name -> source) that
+    nothing reads: no package code outside the name's own definition, none
+    of the `readers` sources and no `bases` entry ("module.qualname")."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    package = sum((_reads(tree) for tree in trees.values()), Counter())
+    outside = set().union(*(_reads(ast.parse(source)) for source in readers))
+    return sorted(
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in _definitions(tree)
+        if package[node.name] == _reads(node)[node.name]
+        and node.name not in outside
+        and f"{module}.{qualname}" not in bases
+    )
+
+
+def benchmark_bases() -> set[str]:
+    """Per-layer metric names of BENCHMARK.json without their last part."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"].rpartition(".")[0] for m in doc["per_layer"]}
+
+
 def test_guard_flags_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -39,3 +118,43 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_flags_unread_names():
+    library = (
+        "BUILDERS = {'a': 'by_string'}\n"
+        "def entry():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return Box().by_attribute()\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1) if k else 'recursive'\n"
+        "def by_string():\n"
+        "    pass\n"
+        "def by_bench():\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __repr__(self):\n"
+        "        return 'Box'\n"
+        "    def by_attribute(self):\n"
+        "        pass\n"
+        "    def by_span_name(self):\n"
+        "        pass\n"
+        "    def lonely(self):\n"
+        "        return self.lonely()\n"
+    )
+    reader = "from m import entry\nSPAN = 'm.Box.by_span_name'\n"
+    assert unread_names({"m": library}, [reader], {"m.by_bench"}) == [
+        "m.Box.lonely", "m.recursive",
+    ]
+    assert unread_names({"m": library}, [], set()) == [
+        "m.Box.by_span_name", "m.Box.lonely", "m.by_bench", "m.entry", "m.recursive",
+    ]
+
+
+def test_every_library_name_has_a_reader():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    # an allowlisted name that gains a reader leaves the list
+    assert unread_names(modules, readers, benchmark_bases()) == sorted(READER_ALLOWLIST)

@@ -12,7 +12,6 @@ from blockspin.logistic import (
     LogisticParams,
     bifurcation_scan,
     detect_cycle,
-    map_fixed_points,
     map_orbit,
     map_step,
     ode_solution,
@@ -93,9 +92,10 @@ class TestMap:
         assert orbit == [0.0] * 11
 
     def test_fixed_points(self):
-        lo, hi = map_fixed_points(2.0, 100.0)
-        assert lo == 0.0
+        # the extinction point 0 and the steady state kappa (1 - 1/mu)
+        hi = 100.0 * (1.0 - 1.0 / 2.0)
         assert hi == pytest.approx(50.0)
+        assert map_step(2.0, 100.0, 0.0) == 0.0
         assert map_step(2.0, 100.0, hi) == pytest.approx(hi)
 
     def test_small_timestep_tracks_ode(self):
