@@ -147,7 +147,7 @@ class LogicalActionTable:
         sigs, keys = [0], [0]
         for q in range(n):
             bit = 1 << (n - 1 - q)
-            letters = [signature(Pauli.packed(n, x * bit, z * bit))
+            letters = [signature(Pauli(n, x * bit, z * bit))
                        for x, z in ((0, 0), (1, 0), (1, 1), (0, 1))]
             sigs = [s ^ t for s in sigs for t in letters]
             keys = [k + t for k in keys for t in (0, b * b, b, 1)]

@@ -42,6 +42,8 @@ CODES = {
 }
 FAMILIES = {"depolarizing": "depolarizing", "bit-flip": "bit_flip"}
 TILINGS = {"plus": "plus_tiling", "brick": "brick_tiling", "trivial": "trivial_tiling"}
+# the builder argument of each --hand, for the kinds that have a handedness
+HANDS = {"plus": {"right": +1, "left": -1}, "brick": {"right": 2, "left": 3}}
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -207,8 +209,10 @@ def cmd_classify(args):
 
 def cmd_tiling(args):
     build = getattr(tiling, TILINGS[args.kind])
-    if args.kind == "plus":
-        t = build(args.L, +1 if args.hand == "right" else -1)
+    if args.kind in HANDS:
+        t = build(args.L, HANDS[args.kind][args.hand])
+    elif args.hand == "left":
+        raise tiling.TilingError(f"{args.kind} tiling has no handedness: --hand left")
     else:
         t = build(args.L)
     ok, rescale, rotation = tiling.validate_tiling(t)
@@ -297,6 +301,9 @@ def cmd_logistic(args):
                 f"--scan-mu COUNT {count:g} exceeds the cap of {SCAN_COUNT_CAP} points"
             )
         mus = _linspace(mu_lo, mu_hi, int(count))
+        # the layer refuses a non-finite point before any line is written
+        for mu in mus:
+            logistic.map_orbit(mu, params.kappa, args.N0, 0)
         # each point is computed as its lines are written
         rows = (logistic.bifurcation_scan([mu], kappa=params.kappa, n0=args.N0)[0]
                 for mu in mus)

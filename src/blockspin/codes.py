@@ -18,6 +18,7 @@ from types import MappingProxyType
 from ._numpy import np
 
 from .pauli import (
+    DENSE_QUBIT_CAP,
     Pauli,
     StabilizerGroup,
     _pack,
@@ -241,8 +242,8 @@ def shor_code() -> StabilizerCode:
 
 
 # Amplitudes below this are rounding: a stabilizer state's nonzero
-# amplitudes have modulus 2^(-r/2) with r <= n <= 12, so at least 2^-6,
-# while projecting leaves ~1e-15 where the state vanishes.
+# amplitudes have modulus 2^(-r/2) with r <= n <= DENSE_QUBIT_CAP = 12, so at
+# least 2^-6, while projecting leaves ~1e-15 where the state vanishes.
 _AMPLITUDE_ATOL = 1e-9
 
 
@@ -253,8 +254,8 @@ def encode_zero(code: StabilizerCode) -> np.ndarray:
     A seeded generic vector is projected by each (1+P)/2, so no component
     vanishes by accident, then normalized, its first nonzero amplitude made
     positive real."""
-    if code.n > 12:
-        raise CodeError("dense codewords limited to n <= 12")
+    if code.n > DENSE_QUBIT_CAP:
+        raise CodeError(f"dense codewords limited to n <= {DENSE_QUBIT_CAP}")
     if code.k != 1:
         raise CodeError("encode_zero requires k=1")
     rng = np.random.default_rng(0)
@@ -314,14 +315,14 @@ def toric_site_generator(L: int, x: int, y: int) -> Pauli:
     """X on the 4 edges incident to vertex (x, y)."""
     e = toric_edge_index
     edges = (e(L, "h", x, y), e(L, "h", x - 1, y), e(L, "v", x, y), e(L, "v", x, y - 1))
-    return Pauli.packed(2 * L * L, _edge_bits(L, edges), 0)
+    return Pauli(2 * L * L, _edge_bits(L, edges), 0)
 
 
 def toric_plaquette_generator(L: int, x: int, y: int) -> Pauli:
     """Z on the 4 boundary edges of the face whose lower-left vertex is (x, y)."""
     e = toric_edge_index
     edges = (e(L, "h", x, y), e(L, "h", x, y + 1), e(L, "v", x, y), e(L, "v", x + 1, y))
-    return Pauli.packed(2 * L * L, 0, _edge_bits(L, edges))
+    return Pauli(2 * L * L, 0, _edge_bits(L, edges))
 
 
 # The code holds 2L^2 - 2 generators of 2L^2 bits each, so memory grows as L^4
@@ -359,8 +360,8 @@ def toric_code(L: int) -> StabilizerCode:
         n=n,
         k=2,
         stabilizer=StabilizerGroup(n, gens),
-        logical_x=[Pauli.packed(n, col("h"), 0), Pauli.packed(n, row("v"), 0)],
-        logical_z=[Pauli.packed(n, 0, row("h")), Pauli.packed(n, 0, col("v"))],
+        logical_x=[Pauli(n, col("h"), 0), Pauli(n, row("v"), 0)],
+        logical_z=[Pauli(n, 0, row("h")), Pauli(n, 0, col("v"))],
     )
 
 
@@ -396,8 +397,8 @@ def tile_hamiltonian_spectrum(
     if not h.terms:
         raise CodeError("empty tile-Hamiltonian")
     n = h.terms[0].n
-    if n > 12:
-        raise CodeError("dense spectrum limited to n <= 12")
+    if n > DENSE_QUBIT_CAP:
+        raise CodeError(f"dense spectrum limited to n <= {DENSE_QUBIT_CAP}")
     mat = np.zeros((2**n, 2**n), dtype=complex)
     for k, m in zip(h.couplings, h.terms):
         mat -= k * m.to_matrix()

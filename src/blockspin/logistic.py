@@ -32,8 +32,9 @@ class LogisticParams:
     dt: float
 
     def __post_init__(self):
-        if self.r <= 0 or self.K <= 0 or self.dt <= 0:
-            raise DynamicsError("r, K, dt must all be positive")
+        for name in ("r", "K", "dt"):
+            if not 0 < (value := getattr(self, name)) < math.inf:  # nan fails too
+                raise DynamicsError(f"{name} must be positive and finite, got {value}")
 
     @property
     def mu(self) -> float:
@@ -68,6 +69,9 @@ def map_orbit(mu: float, kappa: float, n0: float, steps: int) -> list[float]:
     """Exact iteration of the finite-difference map, n0 included."""
     if steps < 0:
         raise DynamicsError("steps must be nonnegative")
+    for name, value in (("mu", mu), ("n0", n0)):
+        if not math.isfinite(value):
+            raise DynamicsError(f"{name} must be finite, got {value}")
     orbit = [float(n0)]
     for _ in range(steps):
         orbit.append(map_step(mu, kappa, orbit[-1]))

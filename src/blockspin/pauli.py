@@ -30,19 +30,17 @@ class MinusIdentityError(ValueError):
     """Raised when -1 turns out to be a member of a purported stabilizer group."""
 
 
+# The largest n for dense operators: a 2^n x 2^n complex matrix takes
+# 16 * 4^n bytes, 256 MiB at n = 12 and 1 GiB at n = 13.
+DENSE_QUBIT_CAP = 12
+
+
 def _pack(bits) -> int:
     """A 0/1 sequence as an int, element 0 at the most significant bit."""
     out = 0
     for b in bits:
         out = out << 1 | int(b) & 1
     return out
-
-
-def _unpack(v: int, n: int) -> np.ndarray:
-    text = f"{v:0{n}b}" if n else ""
-    bits = np.frombuffer(text.encode(), dtype=np.uint8) & 1
-    bits.setflags(write=False)
-    return bits
 
 
 def _spread(v: int) -> int:
@@ -62,11 +60,9 @@ def _letters(p: "Pauli") -> str:
 class Pauli:
     """An n-qubit Pauli operator i^phase_exp * prod X^x Z^z.
 
-    x and z are the bits packed into ints, qubit 0 at the most significant
-    of n bits, so the symplectic row [x|z] is the int (x << n) | z (`row`).
-    Pauli(x_bits, z_bits, phase_exp) takes two equal-length 0/1 sequences,
-    Pauli.packed(n, x, z, phase_exp) the ints.  x_bits and z_bits are
-    read-only uint8 arrays, built on first access for dense code.
+    x and z are the bits packed into ints 0 <= x, z < 2^n, qubit 0 at the
+    most significant of n bits, so the symplectic row [x|z] is the int
+    (x << n) | z (`row`).
     """
 
     n: int
@@ -74,30 +70,12 @@ class Pauli:
     z: int
     phase_exp: int
 
-    def __init__(self, x_bits, z_bits, phase_exp: int = 0):
-        if len(x_bits) != len(z_bits):
-            raise PauliError("x_bits and z_bits must be equal-length vectors")
-        x, z, e = _pack(x_bits), _pack(z_bits), int(phase_exp) % 4
-        self.__dict__.update(n=len(x_bits), x=x, z=z, phase_exp=e)
-
-    @classmethod
-    def packed(cls, n: int, x: int, z: int, phase_exp: int = 0) -> "Pauli":
-        """The Pauli with bit ints 0 <= x, z < 2^n, qubit 0 at bit n-1."""
-        p = cls.__new__(cls)
-        p.__dict__.update(n=n, x=x, z=z, phase_exp=phase_exp % 4)
-        return p
+    def __init__(self, n: int, x: int, z: int, phase_exp: int = 0):
+        self.__dict__.update(n=n, x=x, z=z, phase_exp=phase_exp % 4)
 
     @property
     def row(self) -> int:
         return self.x << self.n | self.z
-
-    @cached_property
-    def x_bits(self) -> np.ndarray:
-        return _unpack(self.x, self.n)
-
-    @cached_property
-    def z_bits(self) -> np.ndarray:
-        return _unpack(self.z, self.n)
 
     @property
     def weight(self) -> int:
@@ -105,7 +83,7 @@ class Pauli:
 
     @classmethod
     def identity(cls, n: int) -> "Pauli":
-        return cls.packed(n, 0, 0)
+        return cls(n, 0, 0)
 
     @classmethod
     def from_string(cls, s: str) -> "Pauli":
@@ -125,7 +103,7 @@ class Pauli:
         x = int(s.translate(_X_DIGITS) or "0", 2)
         z = int(s.translate(_Z_DIGITS) or "0", 2)
         # Each Y in the text contributes one factor of i to the stored phase.
-        return cls.packed(len(s), x, z, phase + (x & z).bit_count())
+        return cls(len(s), x, z, phase + (x & z).bit_count())
 
     def to_string(self) -> str:
         head = _PHASE_STR[(self.phase_exp - (self.x & self.z).bit_count()) % 4]
@@ -134,28 +112,24 @@ class Pauli:
     def __str__(self) -> str:
         return self.to_string()
 
+    def _column_values(self, idx: np.ndarray) -> np.ndarray:
+        """i^e (-1)^popcount(idx & z): the entry of column idx, at row idx ^ x."""
+        return (1j**self.phase_exp) * (1.0 - 2.0 * (np.bitwise_count(idx & self.z) & 1))
+
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix (n small); qubit 0 is the most significant bit."""
-        if self.n > 12:
-            raise PauliError("dense form limited to n <= 12")
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        out = np.array([[1]], dtype=complex)
-        for a, b in zip(self.x_bits, self.z_bits):
-            m = np.eye(2, dtype=complex)
-            if a:
-                m = X @ m
-            if b:
-                m = m @ Z
-            out = np.kron(out, m)
-        return (1j ** self.phase_exp) * out
+        if self.n > DENSE_QUBIT_CAP:
+            raise PauliError(f"dense form limited to n <= {DENSE_QUBIT_CAP}")
+        idx = np.arange(2**self.n, dtype=np.int64)
+        out = np.zeros((idx.size, idx.size), dtype=complex)
+        out[idx ^ self.x, idx] = self._column_values(idx)
+        return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply to a dense 2^n state vector without materializing the matrix."""
         idx = np.arange(2**self.n, dtype=np.int64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & self.z) & 1)
         out = np.empty_like(vec, dtype=complex)
-        out[idx ^ self.x] = (1j**self.phase_exp) * signs * vec
+        out[idx ^ self.x] = self._column_values(idx) * vec
         return out
 
 
@@ -167,16 +141,14 @@ def multiply(p: Pauli, q: Pauli) -> Pauli:
     """
     if p.n != q.n:
         raise PauliError(f"length mismatch: {p.n} vs {q.n}")
-    sign_flips = (p.z & q.x).bit_count()
-    return Pauli.packed(
-        p.n, p.x ^ q.x, p.z ^ q.z, p.phase_exp + q.phase_exp + 2 * sign_flips
-    )
+    flips = (p.z & q.x).bit_count()
+    return Pauli(p.n, p.x ^ q.x, p.z ^ q.z, p.phase_exp + q.phase_exp + 2 * flips)
 
 
 def inverse(p: Pauli) -> Pauli:
     """The Pauli q with multiply(p, q) = identity (phase included)."""
     self_overlap = (p.z & p.x).bit_count()
-    return Pauli.packed(p.n, p.x, p.z, -p.phase_exp - 2 * self_overlap)
+    return Pauli(p.n, p.x, p.z, -p.phase_exp - 2 * self_overlap)
 
 
 def commutes(p: Pauli, q: Pauli) -> bool:
@@ -291,12 +263,8 @@ def canonicalize(group: StabilizerGroup) -> tuple[list[Pauli], int]:
     multiple of the identity in the group.  The elimination runs once per
     group: its rows are cached as `StabilizerGroup.canonical_rows`.
     """
-    n = group.n
-    zmask = (1 << n) - 1
-    reduced = [
-        Pauli.packed(n, row >> n, row & zmask, phase)
-        for row, phase in group.canonical_rows
-    ]
+    n, zmask = group.n, (1 << group.n) - 1
+    reduced = [Pauli(n, r >> n, r & zmask, e) for r, e in group.canonical_rows]
     return reduced, len(reduced)
 
 
@@ -321,9 +289,9 @@ def contains(group: StabilizerGroup, p: Pauli) -> tuple[str, int]:
 
 
 def random_pauli(rng: np.random.Generator, n: int) -> Pauli:
-    x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    z = rng.integers(0, 2, size=n, dtype=np.uint8)
-    return Pauli(x, z, int(rng.integers(0, 4)))
+    x = _pack(rng.integers(0, 2, size=n, dtype=np.uint8))
+    z = _pack(rng.integers(0, 2, size=n, dtype=np.uint8))
+    return Pauli(n, x, z, int(rng.integers(0, 4)))
 
 
 def stabilizer_entropy(
@@ -366,12 +334,12 @@ def _region_entropies(
     return out
 
 
-def gf2_rank(rows) -> int:
+def gf2_rank(rows: Iterable[int]) -> int:
     """Rank of a binary matrix over GF(2).
 
     Each row is a packed int with column 0 at the most significant bit (for
-    a Pauli, `Pauli.row`: the X columns come before the Z columns) or a 0/1
-    sequence, packed the same way.  The rank is the number of nonzero rows
-    of the RREF (_rref), which is unique for a fixed column order.
+    a Pauli, `Pauli.row`: the X columns come before the Z columns).  The
+    rank is the number of nonzero rows of the RREF (_rref), which is unique
+    for a fixed column order.
     """
-    return len(_rref([r if isinstance(r, int) else _pack(r) for r in rows])[0])
+    return len(_rref(list(rows))[0])

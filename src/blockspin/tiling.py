@@ -22,6 +22,14 @@ PLUS_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))  # center, N, E, S, W
 BRICK_OFFSETS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
 SVG_CELL = 24  # pixels per lattice site
 
+# Time and memory grow as L^2.  In process (`cli.main` after import, Python
+# 3.11, 2 shared cores), `tiling --L 250 / 500 / 625 / 1000` takes 0.11 / 0.47
+# / 0.75 / 2.3 s (peak RSS 28 / 76 / 117 / 284 MB); at L = 625 `--trivial`
+# takes 2.0 s (212 MB) and `--svg` 2.5 s (297 MB), at L = 1000 5.3 s (515 MB)
+# and 6.7 s (729 MB).  The cap admits L = 625 = 5^4, which a 4-level
+# concatenation needs, and keeps every run near 2.5 s and 300 MB.
+TILING_L_CAP = 625
+
 
 @dataclass(frozen=True)
 class Tiling:
@@ -118,17 +126,25 @@ def _build_assignment(
     return assignment
 
 
+def _centers(L: int, row_offset: int, period: int = 5) -> list[tuple[int, int]]:
+    """The sites (x, y) with x = row_offset*y (mod period), y-major; refuses
+    an extent above TILING_L_CAP before building any of the L^2 sites."""
+    if L > TILING_L_CAP:
+        raise TilingError(f"tiling extent L={L} exceeds cap {TILING_L_CAP}")
+    return [
+        (x, y) for y in range(L) for x in range(L) if (x - row_offset * y) % period == 0
+    ]
+
+
 def plus_tiling(L: int, handedness: int = +1) -> Tiling:
-    """Plus-pentomino exact cover; centers 2x+y=0 (mod 5) for right-handed,
-    x+2y=0 for left-handed.  Rescale sqrt(5), rotation +-arctan(1/2)."""
+    """Plus-pentomino exact cover; centers x = 2y (mod 5), i.e. 2x+y = 0, for
+    right-handed, x = 3y, i.e. x+2y = 0, for left-handed.  Rescale sqrt(5),
+    rotation +-arctan(1/2)."""
     if L % 5 != 0:
         raise TilingError("plus tiling needs L = 0 mod 5")
     if handedness not in (+1, -1):
         raise TilingError("handedness must be +1 or -1")
-    if handedness == +1:
-        centers = [(x, y) for y in range(L) for x in range(L) if (2 * x + y) % 5 == 0]
-    else:
-        centers = [(x, y) for y in range(L) for x in range(L) if (x + 2 * y) % 5 == 0]
+    centers = _centers(L, 2 if handedness == +1 else 3)
     return Tiling(L, PLUS_OFFSETS, centers, "plus-right" if handedness == +1 else "plus-left")
 
 
@@ -142,15 +158,12 @@ def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
         raise TilingError("brick tiling needs L = 0 mod 5")
     if row_offset not in (2, 3):
         raise TilingError("row_offset must be 2 or 3")
-    centers = [
-        (x, y) for y in range(L) for x in range(L) if (x - row_offset * y) % 5 == 0
-    ]
-    return Tiling(L, BRICK_OFFSETS, centers, "brick")
+    return Tiling(L, BRICK_OFFSETS, _centers(L, row_offset), "brick")
 
 
 def trivial_tiling(L: int) -> Tiling:
     """1x1 tiles; rescale 1, rotation 0."""
-    return Tiling(L, ((0, 0),), [(x, y) for y in range(L) for x in range(L)], "trivial")
+    return Tiling(L, ((0, 0),), _centers(L, 0, period=1), "trivial")
 
 
 def validate_tiling(t: Tiling) -> tuple[bool, float, float]:

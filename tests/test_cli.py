@@ -127,6 +127,25 @@ class TestExitCodes:
         assert "COUNT" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--N0", "nan"], "n0 must be finite, got nan"),
+            (["--N0", "inf"], "n0 must be finite, got inf"),
+            (["--r", "nan"], "r must be positive and finite, got nan"),
+            (["--K", "inf"], "K must be positive and finite, got inf"),
+            (["--dt", "inf"], "dt must be positive and finite, got inf"),
+            (["--scan-mu", "1", "nan", "3"], "mu must be finite, got nan"),
+        ],
+        ids=["N0-nan", "N0-inf", "r-nan", "K-inf", "dt-inf", "scan-mu-nan"],
+    )
+    def test_logistic_non_finite_input_refused(self, flag, message, tmp_path, capsys):
+        out = tmp_path / "orbit.csv"
+        argv = ["logistic", "--r", "1", "--K", "1", "--dt", "0.1", "--steps", "3", *flag]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_logistic_scan_count_capped(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         argv = ["logistic", "--r", "1", "--K", "1", "--dt", "1", "--scan-mu", "3", "3.5", "1e7"]
@@ -193,6 +212,24 @@ class TestExitCodes:
         assert re.findall(r"^  (-[-\w]+)", options, re.M) == [
             "-h", "--out", "--code", "--L", "--depolarizing", "--bit-flip", "--channel", *tail
         ]
+
+    @pytest.mark.parametrize(
+        "hand, rotation", [("right", math.atan2(1, 2)), ("left", -math.atan2(1, 2))]
+    )
+    def test_brick_tiling_honours_hand(self, hand, rotation, tmp_path):
+        out = tmp_path / "tiling.json"
+        assert run(["tiling", "--brick", "--hand", hand, "--L", "25", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["tiling"] == "brick" and doc["exact_cover"]
+        assert doc["rotation"] == pytest.approx(rotation, abs=1e-12)
+
+    def test_trivial_tiling_has_no_left_hand(self, tmp_path, capsys):
+        out = tmp_path / "tiling.json"
+        assert run(["tiling", "--trivial", "--hand", "left", "--L", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trivial tiling has no handedness: --hand left\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("L", ["0", "-5"])
     def test_tiling_non_positive_extent_refused(self, L, capsys):

@@ -23,6 +23,7 @@ from blockspin.codes import (
     toric_site_generator,
 )
 from blockspin.pauli import (
+    DENSE_QUBIT_CAP,
     Pauli,
     StabilizerGroup,
     commutes,
@@ -154,6 +155,20 @@ class TestCodewords:
         for g in code.stabilizer.generators:
             assert np.allclose(g.apply(vec), vec)
 
+    def test_above_the_dense_cap_refused(self):
+        # the 13-qubit repetition code: checks Z_q Z_{q+1}
+        n = DENSE_QUBIT_CAP + 1
+        code = StabilizerCode(
+            n=n,
+            k=1,
+            stabilizer=StabilizerGroup(n, [Pauli(n, 0, 3 << q) for q in range(n - 1)]),
+            logical_x=[Pauli(n, (1 << n) - 1, 0)],
+            logical_z=[Pauli(n, 0, 1)],
+        )
+        code.validate()
+        with pytest.raises(CodeError, match="dense codewords limited to n <= 12"):
+            encode_zero(code)
+
 
 class TestCorrectability:
     def test_empty_set(self):
@@ -267,10 +282,7 @@ class TestToric:
         ] + [
             toric_plaquette_generator(3, x, y) for x in range(3) for y in range(3)
         ]
-        rows = np.array(
-            [np.concatenate([g.x_bits, g.z_bits]) for g in gens], dtype=np.uint8
-        )
-        assert gf2_rank(rows) == 16
+        assert gf2_rank(g.row for g in gens) == 16
         assert code.k == 2
 
     def test_sites_commute_with_plaquettes(self):
@@ -345,6 +357,11 @@ class TestTileHamiltonian:
         with pytest.raises(CodeError):
             TileHamiltonian([0.0], [Pauli.from_string("Z")])
 
+    def test_above_the_dense_cap_refused(self):
+        h = TileHamiltonian([1.0], [Pauli(DENSE_QUBIT_CAP + 1, 0, 1)])
+        with pytest.raises(CodeError, match="dense spectrum limited to n <= 12"):
+            tile_hamiltonian_spectrum(h)
+
 
 def codeword_entropy(code: StabilizerCode, region: list[int]) -> int:
     """Entropy (bits) of a region of the logical-|0> codeword, whose
@@ -375,11 +392,13 @@ def test_logical_class_index_matches_pairing_table():
     code = five_qubit_code()
     lx, lz = code.logical_x[0], code.logical_z[0]
     residuals = [Pauli.identity(code.n), lx, multiply(lx, lz), lz]
-    x = np.array([p.x_bits for p in residuals])
-    z = np.array([p.z_bits for p in residuals])
-    a = (x @ lz.z_bits + z @ lz.x_bits) % 2
-    b = (x @ lx.z_bits + z @ lx.x_bits) % 2
-    assert sorted(zip(a.tolist(), b.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def pairing(p: Pauli, q: Pauli) -> int:  # the symplectic product over GF(2)
+        return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2
+
+    a = [pairing(p, lz) for p in residuals]
+    b = [pairing(p, lx) for p in residuals]
+    assert sorted(zip(a, b)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     got = [_logical_class_index(code, p) for p in residuals]
     assert got == table[a, b].tolist() == [0, 1, 2, 3]
     # linear over GF(2), which LogicalActionTable.build relies on

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from blockspin import pauli
 from blockspin.pauli import (
+    DENSE_QUBIT_CAP,
     MinusIdentityError,
     Pauli,
     PauliError,
@@ -26,8 +27,31 @@ from blockspin.pauli import (
 FIVE_QUBIT_GENS = ["ZZXIX", "XZZXI", "IXZZX", "XIXZZ"]
 
 
+def pack(bits) -> int:
+    """A 0/1 row as an int, element 0 at the most significant bit."""
+    return int("".join(str(int(b)) for b in bits) or "0", 2)
+
+
+def from_bits(x, z, e: int = 0) -> Pauli:
+    """The Pauli i^e X^x Z^z of two equal-length 0/1 rows, qubit 0 first."""
+    assert len(x) == len(z)
+    return Pauli(len(x), pack(x), pack(z), e)
+
+
 def dense(p: Pauli) -> np.ndarray:
-    return p.to_matrix()
+    """The dense oracle: i^e times the Kronecker product of the per-qubit
+    factors X^x Z^z, qubit 0 first (the most significant index bit)."""
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.array([[1, 0], [0, -1]], dtype=complex)
+    out = np.array([[1]], dtype=complex)
+    for bit in range(p.n - 1, -1, -1):
+        m = np.eye(2, dtype=complex)
+        if p.x >> bit & 1:
+            m = X @ m
+        if p.z >> bit & 1:
+            m = m @ Z
+        out = np.kron(out, m)
+    return (1j**p.phase_exp) * out
 
 
 @st.composite
@@ -36,8 +60,7 @@ def paulis(draw, n=None):
         n = draw(st.integers(1, 5))
     x = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     z = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    e = draw(st.integers(0, 3))
-    return Pauli(np.array(x, dtype=np.uint8), np.array(z, dtype=np.uint8), e)
+    return from_bits(x, z, draw(st.integers(0, 3)))
 
 
 class TestMultiply:
@@ -112,11 +135,7 @@ class TestCanonicalize:
         g = StabilizerGroup(5, [Pauli.from_string(s) for s in FIVE_QUBIT_GENS])
         reduced, rank = canonicalize(g)
         assert rank == 4
-        mat = np.array(
-            [np.concatenate([p.x_bits, p.z_bits]) for p in FIVE_QUBIT_GENS_P()],
-            dtype=np.uint8,
-        )
-        assert gf2_rank(mat) == 4
+        assert gf2_rank(p.row for p in FIVE_QUBIT_GENS_P()) == 4
 
     def test_duplicate_collapses(self):
         m1 = Pauli.from_string("ZZXIX")
@@ -178,7 +197,7 @@ class TestContains:
 
 def hermitian(p: Pauli) -> Pauli:
     """p's letters with the phase that makes the operator Hermitian."""
-    return Pauli.packed(p.n, p.x, p.z, (p.x & p.z).bit_count() % 2)
+    return Pauli(p.n, p.x, p.z, (p.x & p.z).bit_count() % 2)
 
 
 @st.composite
@@ -201,7 +220,7 @@ def commuting_groups(draw):
             if not all(commutes(p, g) for g in gens):
                 continue
         sign = draw(st.sampled_from([0, 2]))
-        gens.append(Pauli(p.x_bits, p.z_bits, p.phase_exp + sign))
+        gens.append(Pauli(n, p.x, p.z, p.phase_exp + sign))
     return StabilizerGroup(n, gens)
 
 
@@ -244,7 +263,7 @@ def pure_states(draw):
         elif gate == "product" and t != q:
             x[t] ^= x[q]
             z[t] ^= z[q]
-    return n, [hermitian(Pauli(x[i], z[i])) for i in range(n)]
+    return n, [hermitian(from_bits(x[i], z[i])) for i in range(n)]
 
 
 class TestKernelOracles:
@@ -272,11 +291,11 @@ class TestKernelOracles:
 
         def lookup(q: Pauli) -> tuple[str, int]:
             for k in range(4):
-                if Pauli(q.x_bits, q.z_bits, q.phase_exp - k) in elements:
+                if Pauli(q.n, q.x, q.z, q.phase_exp - k) in elements:
                     return ("member", 0) if k == 0 else ("member_up_to_phase", k)
             return ("not_member", 0)
 
-        queries = [Pauli(e.x_bits, e.z_bits, e.phase_exp + k)
+        queries = [Pauli(e.n, e.x, e.z, e.phase_exp + k)
                    for e in elements for k in range(4)]
         queries += data.draw(st.lists(paulis(n=group.n), max_size=8))
         for q in queries:
@@ -287,21 +306,14 @@ class TestKernelOracles:
     def test_region_entropies_count_the_local_subgroup(self, state):
         # S(A) = |A| - log2 |S_A|, S_A the group elements supported inside A
         n, gens = state
-        bits = {
-            (e.x_bits.tobytes(), e.z_bits.tobytes())
-            for e in enumerate_group(StabilizerGroup(n, gens))
-        }
+        bits = {(e.x, e.z) for e in enumerate_group(StabilizerGroup(n, gens))}
         regions = [
             list(r) for k in range(n + 1) for r in itertools.combinations(range(n), k)
         ]
         expected = []
         for region in regions:
-            outside = [q for q in range(n) if q not in region]
-            local = sum(
-                1
-                for x, z in bits
-                if not any(x[q] or z[q] for q in outside)
-            )
+            outside = pack(q not in region for q in range(n))
+            local = sum(1 for x, z in bits if not (x | z) & outside)
             expected.append(len(region) - int(np.log2(local)))
         assert _region_entropies(StabilizerGroup(n, gens), regions) == expected
         assert [stabilizer_entropy(n, gens, r) for r in regions] == expected
@@ -324,7 +336,7 @@ class TestKernelOracles:
                        dtype=np.uint8).reshape(rows, cols)
         span = {tuple(np.array(c, dtype=np.uint8) @ mat % 2)
                 for c in itertools.product((0, 1), repeat=rows)}
-        assert 2 ** gf2_rank(mat) == len(span)
+        assert 2 ** gf2_rank([pack(r) for r in mat]) == len(span)
 
 
 class TestTextForm:
@@ -340,20 +352,18 @@ class TestTextForm:
         pairs = [(0, 0), (full, 0), (0, full), (full, full)]
         pairs += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(8)]
         for (x, z), e in itertools.product(pairs, range(4)):
-            p = Pauli.packed(n, x, z, e)
+            p = Pauli(n, x, z, e)
             qubits = range(n - 1, -1, -1)  # qubit 0 at the top bit
             letters = "".join("IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in qubits)
             head = {0: "", 1: "i", 2: "-", 3: "-i"}[(e - (x & z).bit_count()) % 4]
             assert p.to_string() == head + letters
             assert Pauli.from_string(p.to_string()) == p
-            assert p.x_bits.tolist() == [x >> k & 1 for k in qubits]
-            assert p.z_bits.tolist() == [z >> k & 1 for k in qubits]
 
     @pytest.mark.parametrize("text, phase", [("", 0), ("+", 0), ("i", 1), ("-", 2), ("-i", 3)])
     def test_phase_with_no_letters_is_the_n0_pauli(self, text, phase):
         p = Pauli.from_string(text)
         assert (p.n, p.x, p.z, p.phase_exp) == (0, 0, 0, phase)
-        assert p == Pauli.packed(0, 0, 0, phase)
+        assert p == Pauli(0, 0, 0, phase)
 
     @pytest.mark.parametrize("text", ["ii", "i-", "--", "-+", "iI-", "x", "I X"])
     def test_malformed_text_refused(self, text):
@@ -366,15 +376,37 @@ class TestTextForm:
         assert Pauli.from_string("iX").to_string() == "iX"
 
 
+class TestDenseForm:
+    """to_matrix's scatter against the Kronecker-product oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_small_pauli_in_every_phase(self, n):
+        for x, z, e in itertools.product(range(2**n), range(2**n), range(4)):
+            p = Pauli(n, x, z, e)
+            assert np.array_equal(p.to_matrix(), dense(p))
+
+    def test_seeded_paulis_up_to_six_qubits(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = random_pauli(rng, int(rng.integers(0, 7)))
+            assert np.array_equal(p.to_matrix(), dense(p))
+
+    def test_above_the_dense_cap_refused(self):
+        assert DENSE_QUBIT_CAP == 12
+        with pytest.raises(PauliError, match="dense form limited to n <= 12"):
+            Pauli.identity(DENSE_QUBIT_CAP + 1).to_matrix()
+
+
 class TestApply:
     def test_apply_matches_matrix(self):
+        # against the Kronecker oracle: to_matrix shares apply's formula
         rng = np.random.default_rng(7)
         for n in range(1, 7):
             paulis = [random_pauli(rng, n) for _ in range(20)]
             assert {p.phase_exp for p in paulis} == {0, 1, 2, 3}
             for p in paulis:
                 v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-                assert np.allclose(p.apply(v), p.to_matrix() @ v)
+                assert np.allclose(p.apply(v), dense(p) @ v)
 
 
 class TestFrozenGroup:

@@ -92,6 +92,17 @@ class TestExtent:
         with pytest.raises(TilingError, match="extent"):
             build(L)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda L: plus_tiling(L, +1), brick_tiling, trivial_tiling],
+        ids=["plus", "brick", "trivial"],
+    )
+    def test_extent_above_the_cap_refused(self, build):
+        L = tiling.TILING_L_CAP
+        assert L >= 5**4  # the pinned 4-level concatenation runs at L = 625
+        with pytest.raises(TilingError, match=f"L={L + 5} exceeds cap {L}"):
+            build(L + 5)
+
     @pytest.mark.parametrize("L", [0, -5])
     def test_direct_construction_refused(self, L):
         with pytest.raises(TilingError, match="extent"):

@@ -31,12 +31,12 @@ class TestRescaledGenerators:
     def test_big_site_weight_and_type(self):
         big = rescaled_site(STATE, (0, 0))
         assert big.weight == 12
-        assert not big.z_bits.any()  # pure X type
+        assert not big.z  # pure X type
 
     def test_big_plaquette_weight_and_type(self):
         big = rescaled_plaquette(STATE, (0, 0))
         assert big.weight == 12
-        assert not big.x_bits.any()  # pure Z type
+        assert not big.x  # pure Z type
 
     @pytest.mark.parametrize(
         "kind, side, anchor",
@@ -132,7 +132,7 @@ class TestEntropy:
 
     def test_plaquette_region(self):
         plaq = toric_plaquette_generator(L, 2, 2)
-        region = sorted(np.flatnonzero(plaq.z_bits).tolist())
+        region = [q for q in range(STATE.n) if plaq.z >> (STATE.n - 1 - q) & 1]
         assert len(region) == 4
         assert block_entropy(STATE, region) == 3
         assert internal_correlation(STATE, region) == 1
@@ -199,13 +199,11 @@ class TestCardinalityScan:
 def _oracle_entropy(state, region) -> int:
     """Reference S(A) = |A| - (n - rank of the generators on the complement)."""
     n = state.n
-    mat = np.array(
-        [np.concatenate([g.x_bits, g.z_bits]) for g in state.group.generators],
-        dtype=np.uint8,
-    )
-    assert gf2_rank(mat) == n
-    comp = [q for q in range(n) if q not in set(region)]
-    sub = gf2_rank(mat[:, comp + [n + q for q in comp]]) if comp else 0
+    rows = [g.row for g in state.group.generators]
+    assert gf2_rank(rows) == n
+    # the X and Z columns of the complement's qubits
+    comp = sum(1 << (n - 1 - q) for q in range(n) if q not in set(region))
+    sub = gf2_rank(r & (comp << n | comp) for r in rows)
     return len(region) - (n - sub)
 
 
