@@ -21,7 +21,7 @@ from operator import add, mul
 from ._numpy import np
 
 from .codes import StabilizerCode, _logical_class_index
-from .pauli import Pauli, _letters, _pack
+from .pauli import Pauli
 
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
 NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
@@ -136,12 +136,12 @@ class LogicalActionTable:
             raise ChannelError("incomplete recovery table")
         lookup = [0] * (4 << r)
         for s, rec in code.recovery_table.items():
-            base, shift = _pack(s) << 2, _logical_class_index(code, rec)
+            base, shift = s << 2, _logical_class_index(code, rec)
             for c in range(4):
                 lookup[base | c] = c ^ shift
 
         def signature(p: Pauli) -> int:
-            return _pack(code.syndrome(p)) << 2 | _logical_class_index(code, p)
+            return code.syndrome(p) << 2 | _logical_class_index(code, p)
 
         b = n + 1  # keys (#X, #Y, #Z) in base b
         sigs, keys = [0], [0]
@@ -429,14 +429,15 @@ def classify_error(
     n = code.n
     if error.n != n**levels:
         raise ChannelError(f"error must act on {n**levels} qubits")
-    letters = _letters(error)
+    mask = (1 << n) - 1
     records: list[LevelRecord] = []
     for lvl in range(1, levels + 1):
-        residual = tuple(
-            code.logical_class(code.recover(Pauli.from_string(letters[i : i + n])))
-            for i in range(0, len(letters), n)
+        blocks = (  # n qubits each, the first block at the top bits
+            Pauli(n, error.x >> k & mask, error.z >> k & mask)
+            for k in range(error.n - n, -1, -n)
         )
+        residual = tuple(code.logical_class(code.recover(b)) for b in blocks)
         records.append(LevelRecord(lvl, residual))
-        letters = "".join(residual)
-    verdict = "correctable" if letters == "I" else "fatal"
+        error = Pauli.from_string("".join(residual))
+    verdict = "correctable" if error.weight == 0 else "fatal"
     return verdict, records

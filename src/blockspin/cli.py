@@ -141,13 +141,14 @@ def cmd_decode(args):
     syndrome = code.syndrome(err)
     residual = code.recover(err)
     cls = code.logical_class(residual) if code.k == 1 else None
+    bits = [syndrome >> k & 1 for k in range(code.n - code.k - 1, -1, -1)]
     payload = {
         "error": err.to_string(),
-        "syndrome": list(syndrome),
+        "syndrome": bits,
         "recovery": code.recovery_table[syndrome].to_string(),
         "logical_class": cls,
     }
-    return payload, f"syndrome={''.join(map(str, syndrome))} logical={cls}"
+    return payload, f"syndrome={''.join(map(str, bits))} logical={cls}"
 
 
 def cmd_channel_flow(args):

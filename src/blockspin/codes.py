@@ -21,7 +21,6 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     Pauli,
     StabilizerGroup,
-    _pack,
     commutes,
     contains,
     gf2_rank,
@@ -38,9 +37,11 @@ class CodeError(ValueError):
 class StabilizerCode:
     """An [[n, k]] stabilizer code with logical operators and recovery table.
 
-    recovery_table maps syndrome bit tuples to correction Paulis; it always
-    contains the zero syndrome -> identity, and is complete only when the
-    syndrome space is small enough to tabulate (see build_recovery_table).
+    A syndrome is an int of r = n - k bits, one per check, generator 0 at
+    the most significant bit; to_dict writes it as an r-digit bit string.
+    recovery_table maps syndromes to correction Paulis; it always contains
+    the zero syndrome -> identity, and is complete only when the syndrome
+    space is small enough to tabulate (see build_recovery_table).
     The code is frozen and the table a read-only copy, so the cached
     action_table stays this code's; derive variants with dataclasses.replace.
     """
@@ -50,14 +51,12 @@ class StabilizerCode:
     stabilizer: StabilizerGroup
     logical_x: tuple[Pauli, ...]
     logical_z: tuple[Pauli, ...]
-    recovery_table: Mapping[tuple[int, ...], Pauli] = field(default_factory=dict)
+    recovery_table: Mapping[int, Pauli] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.stabilizer.generators) != self.n - self.k:
             raise CodeError("expected n-k independent stabilizer generators")
-        table = dict(self.recovery_table) or {
-            (0,) * (self.n - self.k): Pauli.identity(self.n)
-        }
+        table = dict(self.recovery_table) or {0: Pauli.identity(self.n)}
         object.__setattr__(self, "logical_x", tuple(self.logical_x))
         object.__setattr__(self, "logical_z", tuple(self.logical_z))
         object.__setattr__(self, "recovery_table", MappingProxyType(table))
@@ -75,23 +74,23 @@ class StabilizerCode:
         self.stabilizer.check_commuting()
         if gf2_rank([g.row for g in self.stabilizer.generators]) != self.n - self.k:
             raise CodeError("stabilizer generators are not independent")
-        for i, (lx, lz) in enumerate(zip(self.logical_x, self.logical_z)):
+        pairs = list(zip(self.logical_x, self.logical_z))
+        for i, (lx, lz) in enumerate(pairs):
             if commutes(lx, lz):
                 raise CodeError(f"logical X/Z pair {i} must anticommute")
             for g in self.stabilizer.generators:
                 if not (commutes(lx, g) and commutes(lz, g)):
                     raise CodeError(f"logical pair {i} fails to commute with checks")
-        for i in range(self.k):
-            for j in range(self.k):
-                if i == j:
-                    continue
-                if not commutes(self.logical_x[i], self.logical_z[j]):
-                    raise CodeError("cross logical pairs must commute")
+            for j, earlier in enumerate(pairs[:i]):
+                if not all(commutes(p, q) for p in (lx, lz) for q in earlier):
+                    raise CodeError(f"logical pairs {j} and {i} must commute")
 
-    def syndrome(self, error: Pauli) -> tuple[int, ...]:
-        return tuple(
-            0 if commutes(error, g) else 1 for g in self.stabilizer.generators
-        )
+    def syndrome(self, error: Pauli) -> int:
+        """One bit per check, set iff error anticommutes with it; generator 0 on top."""
+        s = 0
+        for g in self.stabilizer.generators:
+            s = s << 1 | (not commutes(error, g))
+        return s
 
     def recover(self, error: Pauli) -> Pauli:
         """Residual Pauli after table lookup recovery, recovery * error."""
@@ -99,10 +98,11 @@ class StabilizerCode:
         try:
             correction = self.recovery_table[s]
         except KeyError:
-            defects = [i for i, bit in enumerate(s) if bit]
+            r = self.n - self.k
+            defects = [i for i in range(r) if s >> (r - 1 - i) & 1]
             raise CodeError(
                 f"no recovery entry for syndrome with defects at checks {defects}"
-                f" (of {len(s)})"
+                f" (of {r})"
             ) from None
         return multiply(correction, error)
 
@@ -110,12 +110,13 @@ class StabilizerCode:
         """Classify a syndrome-free Pauli as logical I, X, Y or Z (k=1 only)."""
         if self.k != 1:
             raise CodeError("logical_class requires k=1")
-        if any(self.syndrome(residual)):
+        if self.syndrome(residual):
             raise CodeError(f"{residual} carries a nonzero syndrome")
         return "IXYZ"[_logical_class_index(self, residual)]
 
     def to_dict(self) -> dict:
         """The code as a JSON-ready document, which `from_json` reads back."""
+        r = self.n - self.k
         return {
             "n": self.n,
             "k": self.k,
@@ -123,7 +124,7 @@ class StabilizerCode:
             "logical_x": [p.to_string() for p in self.logical_x],
             "logical_z": [p.to_string() for p in self.logical_z],
             "recovery": {
-                "".join(map(str, s)): p.to_string()
+                f"{s:0{r}b}" if r else "": p.to_string()  # width 0 still writes "0"
                 for s, p in sorted(self.recovery_table.items())
             },
         }
@@ -143,7 +144,7 @@ class StabilizerCode:
             logical_x=[Pauli.from_string(s) for s in doc["logical_x"]],
             logical_z=[Pauli.from_string(s) for s in doc["logical_z"]],
             recovery_table={
-                tuple(int(c) for c in s): Pauli.from_string(p)
+                int(s or "0", 2): Pauli.from_string(p)
                 for s, p in doc["recovery"].items()
             },
         )
@@ -164,47 +165,33 @@ def _logical_class_index(code: StabilizerCode, p: Pauli) -> int:
     return a ^ 3 * b
 
 
-def _supports_by_weight(n: int):
-    """(positions, letters) of every n-qubit Pauli without phase, by
-    increasing weight and in text order within a weight."""
-    for w in range(n + 1):
-        for positions in itertools.combinations(range(n), w):
-            for letters in itertools.product("XYZ", repeat=w):
-                yield positions, letters
-
-
-def build_recovery_table(code: StabilizerCode) -> dict[tuple[int, ...], Pauli]:
+def build_recovery_table(code: StabilizerCode) -> dict[int, Pauli]:
     """Minimum-weight coset-leader table, ties broken lexicographically.
 
     Enumerates Paulis by increasing weight (text order within a weight) and
     keeps the first representative seen for each syndrome, stopping once
-    every syndrome has one.  A candidate's syndrome, packed into an int with
-    generator 0 at the most significant bit, is the XOR of the syndromes of
-    its single-qubit letters; a Pauli is built only for the entries kept.
+    every syndrome has one.  A candidate's bits and syndrome are the XOR of
+    those of its single-qubit letters; a Pauli is built only for the entries
+    kept, with the phase `Pauli.from_string` gives its text.
     """
     n, r = code.n, code.n - code.k
-    # flips[q][c]: packed syndrome of the letter c on qubit q alone
-    flips = [
-        {c: _pack(code.syndrome(Pauli.from_string("I" * q + c + "I" * (n - 1 - q))))
-         for c in "XYZ"}
-        for q in range(n)
+    # letters[q]: (x, z, syndrome) of X, Y and Z on qubit q alone, text order
+    letters = [
+        [(x, z, code.syndrome(Pauli(n, x, z))) for x, z in ((b, 0), (b, b), (0, b))]
+        for b in (1 << (n - 1 - q) for q in range(n))
     ]
-    leaders: dict[int, str] = {}
-    for positions, letters in _supports_by_weight(code.n):
-        s = 0
-        for q, c in zip(positions, letters):
-            s ^= flips[q][c]
-        if s not in leaders:
-            chars = ["I"] * code.n
-            for q, c in zip(positions, letters):
-                chars[q] = c
-            leaders[s] = "".join(chars)
-            if len(leaders) == 2**r:
-                break
-    return {
-        tuple(s >> k & 1 for k in range(r - 1, -1, -1)): Pauli.from_string(text)
-        for s, text in leaders.items()
-    }
+    table: dict[int, Pauli] = {}
+    for w in range(n + 1):
+        for support in itertools.combinations(letters, w):
+            for choice in itertools.product(*support):
+                x = z = s = 0
+                for lx, lz, ls in choice:
+                    x, z, s = x ^ lx, z ^ lz, s ^ ls
+                if s not in table:
+                    table[s] = Pauli(n, x, z, (x & z).bit_count())
+                    if len(table) == 2**r:
+                        return table
+    return table
 
 
 def _small_code(checks: tuple[str, ...]) -> StabilizerCode:

@@ -48,14 +48,6 @@ def _spread(v: int) -> int:
     return int(f"{v:b}", 16)
 
 
-def _letters(p: "Pauli") -> str:
-    """p's letters I/X/Y/Z, qubit 0 first, without the phase; one hex digit
-    2x + z per qubit, so linear in n."""
-    if not p.n:
-        return ""  # a zero width still formats one digit
-    return f"{2 * _spread(p.x) + _spread(p.z):0{p.n}x}".translate(_LETTER_OF_DIGIT)
-
-
 @dataclass(frozen=True, init=False)
 class Pauli:
     """An n-qubit Pauli operator i^phase_exp * prod X^x Z^z.
@@ -71,6 +63,8 @@ class Pauli:
     phase_exp: int
 
     def __init__(self, n: int, x: int, z: int, phase_exp: int = 0):
+        if (x | z) >> n:  # a negative int keeps its sign bits
+            raise PauliError(f"X/Z bits do not fit in {n} qubits")
         self.__dict__.update(n=n, x=x, z=z, phase_exp=phase_exp % 4)
 
     @property
@@ -106,8 +100,12 @@ class Pauli:
         return cls(len(s), x, z, phase + (x & z).bit_count())
 
     def to_string(self) -> str:
+        """Sign prefix, then one letter per qubit, qubit 0 first, via hex digits 2x + z."""
         head = _PHASE_STR[(self.phase_exp - (self.x & self.z).bit_count()) % 4]
-        return head + _letters(self)
+        if not self.n:
+            return head  # a zero width still formats one digit
+        digits = f"{2 * _spread(self.x) + _spread(self.z):0{self.n}x}"
+        return head + digits.translate(_LETTER_OF_DIGIT)
 
     def __str__(self) -> str:
         return self.to_string()

@@ -151,14 +151,15 @@ def plus_tiling(L: int, handedness: int = +1) -> Tiling:
 def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
     """Horizontal 5x1 bricks with origins x = row_offset*y (mod 5).
 
-    row_offset 2 reproduces the right-handed plus center sublattice;
-    row_offset 3 gives the mirror.
+    row_offset 2 reproduces the right-handed plus center sublattice and is
+    named "brick"; row_offset 3 gives the mirror, named "brick-left".
     """
     if L % 5 != 0:
         raise TilingError("brick tiling needs L = 0 mod 5")
     if row_offset not in (2, 3):
         raise TilingError("row_offset must be 2 or 3")
-    return Tiling(L, BRICK_OFFSETS, _centers(L, row_offset), "brick")
+    name = "brick" if row_offset == 2 else "brick-left"
+    return Tiling(L, BRICK_OFFSETS, _centers(L, row_offset), name)
 
 
 def trivial_tiling(L: int) -> Tiling:

@@ -101,7 +101,7 @@ def test_criterion_04_syndrome_bijection():
         for letter in "XYZ":
             s = "I" * q + letter + "I" * (4 - q)
             syndromes.add(CODE.syndrome(Pauli.from_string(s)))
-    ok = len(syndromes) == 15 and (0, 0, 0, 0) not in syndromes
+    ok = len(syndromes) == 15 and 0 not in syndromes
     report(4, "15 weight-1 errors map bijectively to nonzero syndromes", ok)
 
 

@@ -170,7 +170,7 @@ class TestEffectiveChannel:
         ch = PauliChannel.depolarizing(0.1)
         before = effective_channel(code, ch)
         table = dict(code.recovery_table)
-        s = (0, 0, 0, 1)
+        s = 0b0001
         table[s] = multiply(code.logical_x[0], table[s])
         variant = dataclasses.replace(code, recovery_table=table)
         fresh = LogicalActionTable.build(variant)

@@ -220,7 +220,8 @@ class TestExitCodes:
         out = tmp_path / "tiling.json"
         assert run(["tiling", "--brick", "--hand", hand, "--L", "25", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["tiling"] == "brick" and doc["exact_cover"]
+        name = {"right": "brick", "left": "brick-left"}[hand]
+        assert doc["tiling"] == name and doc["exact_cover"]
         assert doc["rotation"] == pytest.approx(rotation, abs=1e-12)
 
     def test_trivial_tiling_has_no_left_hand(self, tmp_path, capsys):

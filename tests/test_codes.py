@@ -55,8 +55,8 @@ class TestFiveQubitCode:
     def test_identity_syndrome_and_recovery(self):
         code = five_qubit_code()
         ident = Pauli.identity(5)
-        assert code.syndrome(ident) == (0, 0, 0, 0)
-        assert code.recovery_table[(0, 0, 0, 0)] == ident
+        assert code.syndrome(ident) == 0
+        assert code.recovery_table[0] == ident
 
     def test_weight_one_syndrome_bijection(self):
         code = five_qubit_code()
@@ -65,7 +65,7 @@ class TestFiveQubitCode:
             for letter in "XYZ":
                 s = "I" * q + letter + "I" * (4 - q)
                 syn = code.syndrome(Pauli.from_string(s))
-                assert syn != (0, 0, 0, 0)
+                assert syn != 0
                 seen.add(syn)
         assert len(seen) == 15
 
@@ -224,6 +224,16 @@ class TestValidate:
         FIVE.validate()
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(FIVE, **change).validate()
+
+    def test_anticommuting_logical_xs_refused(self):
+        # Xbar_1 Zbar_0 pairs with Zbar_1 and commutes with Zbar_0 and the
+        # checks, but anticommutes with Xbar_0
+        code = toric_code(3)
+        code.validate()
+        (lx0, lx1), (lz0, _) = code.logical_x, code.logical_z
+        variant = dataclasses.replace(code, logical_x=[lx0, multiply(lx1, lz0)])
+        with pytest.raises(CodeError, match="logical pairs 0 and 1 must commute"):
+            variant.validate()
 
 
 class TestOtherCodes:
@@ -386,6 +396,20 @@ class TestReducedEntropy:
                 assert codeword_entropy(code, list(region)) == codeword_entropy(code, comp)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [five_qubit_code, steane_code, shor_code, lambda: toric_code(3)],
+    ids=["five-qubit", "steane", "shor", "toric-3"],
+)
+def test_syndrome_packs_generator_zero_first(build):
+    code = build()
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        p = random_pauli(rng, code.n)
+        bits = "".join("0" if commutes(p, g) else "1" for g in code.stabilizer.generators)
+        assert code.syndrome(p) == int(bits, 2)
+
+
 def test_logical_class_index_matches_pairing_table():
     # the (a, b) -> class table the bit arithmetic replaced
     table = np.array([[0, 3], [1, 2]])
@@ -421,16 +445,16 @@ class TestFrozenCode:
     def test_recovery_table_read_only(self):
         code = five_qubit_code()
         with pytest.raises(TypeError):
-            code.recovery_table[(0, 0, 0, 0)] = Pauli.from_string("XIIII")
+            code.recovery_table[0] = Pauli.from_string("XIIII")
 
     def test_caller_dict_copied(self):
         code = five_qubit_code()
         table = dict(code.recovery_table)
         variant = dataclasses.replace(code, recovery_table=table)
-        table[(0, 0, 0, 0)] = Pauli.from_string("XIIII")
-        del table[(0, 0, 0, 1)]
+        table[0] = Pauli.from_string("XIIII")
+        del table[0b0001]
         assert variant.recovery_table == code.recovery_table
-        assert variant.recovery_table[(0, 0, 0, 0)] == Pauli.identity(5)
+        assert variant.recovery_table[0] == Pauli.identity(5)
 
     @pytest.mark.parametrize(
         "build",
@@ -442,6 +466,15 @@ class TestFrozenCode:
         doc = code.to_dict()
         assert code.to_json() == json.dumps(doc, indent=2, sort_keys=True)
         assert StabilizerCode.from_json(code.to_json()).to_dict() == doc
+
+    def test_r0_code_keeps_the_empty_syndrome_key(self):
+        code = StabilizerCode(
+            1, 1, StabilizerGroup(1, []), [Pauli.from_string("X")], [Pauli.from_string("Z")]
+        )
+        assert code.to_dict()["recovery"] == {"": "I"}
+        clone = StabilizerCode.from_json(code.to_json())
+        assert clone.recovery_table == {0: Pauli.identity(1)}
+        assert clone.to_dict() == code.to_dict()
 
     def test_logicals_are_tuples(self):
         clone = StabilizerCode.from_json(five_qubit_code().to_json())

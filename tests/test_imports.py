@@ -2,8 +2,10 @@
 
 The first guard stands in for a linter's unused-import rule; `from
 __future__` imports and the re-exports of `__init__.py` are exempt.  The
-second keeps the library to what a result reads: a top-level function or
-class, or a non-dunder method, needs a reader other than the unit tests.
+second keeps private names inside their module: a package module imports
+no `_name` from a sibling, save the allowlisted ones.  The third keeps the
+library to what a result reads: a top-level function or class, or a
+non-dunder method, needs a reader other than the unit tests.
 """
 
 import ast
@@ -26,6 +28,12 @@ READER_ALLOWLIST = {
     "codes.StabilizerCode.from_json": "reads the `code` artifact back for the round-trip oracle",
 }
 
+# private names another package module imports, with the reason
+PRIVATE_IMPORT_ALLOWLIST = {
+    "codes._logical_class_index": "the class index that channel's action table is built on",
+    "pauli._region_entropies": "the per-region entropy kernel that toric_rescale's scan calls",
+}
+
 IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
@@ -40,6 +48,21 @@ def unused_imports(source: str) -> list[str]:
     # `np.zeros` is an Attribute over the Name `np`, so names cover every use
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used)
+
+
+def private_imports(source: str) -> list[str]:
+    """"module.name" of each private name the source imports from a sibling
+    module (`from .module import _name`).  A private module is the
+    package's own helper, so importing it or from it (`from . import
+    _numpy`, `from ._lazy import ...`) does not count."""
+    return sorted(
+        f"{node.module}.{a.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module and not node.module.startswith("_")
+        for a in node.names
+        if a.name.startswith("_") and not a.name.endswith("__")
+    )
 
 
 def _words(node: ast.AST):
@@ -118,6 +141,24 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_flags_private_names_across_modules():
+    source = (
+        "from . import _numpy, __version__\n"
+        "from ._lazy import lazy_import, _helper\n"
+        "from .pauli import Pauli, _pack\n"
+        "from __future__ import annotations\n"
+        "def f():\n"
+        "    from .codes import _index as index\n"
+    )
+    assert private_imports(source) == ["codes._index", "pauli._pack"]
+
+
+def test_private_names_stay_in_their_module():
+    crossing = [name for p in PACKAGE.glob("*.py") for name in private_imports(p.read_text())]
+    # an allowlisted name that stops crossing leaves the list
+    assert sorted(crossing) == sorted(PRIVATE_IMPORT_ALLOWLIST)
 
 
 def test_guard_flags_unread_names():

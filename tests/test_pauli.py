@@ -375,6 +375,11 @@ class TestTextForm:
         assert Pauli.from_string("Y").phase_exp == 1
         assert Pauli.from_string("iX").to_string() == "iX"
 
+    @pytest.mark.parametrize("x, z", [(7, 0), (0, -1)], ids=["oversized", "negative"])
+    def test_bits_outside_n_qubits_refused(self, x, z):
+        with pytest.raises(PauliError, match="do not fit in 2 qubits"):
+            Pauli(2, x, z)
+
 
 class TestDenseForm:
     """to_matrix's scatter against the Kronecker-product oracle, bit for bit."""
