@@ -13,15 +13,16 @@ memory-support correlation functional.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add, mul
+from functools import cached_property, lru_cache
+from operator import mul
 
 from ._numpy import np
 
 from .codes import StabilizerCode, _logical_class_index
-from .pauli import Pauli
+from .pauli import Pauli, StabilizerGroup
 
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
 NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
@@ -91,25 +92,68 @@ class PauliChannel:
         return 1.0 - h
 
 
+# signature tables kept at once, the least recently used dropped first; the
+# Shor code's holds 3.5 MB
+SIGNATURE_TABLE_CACHE = 8
+# a word's syndrome sits above key << 2 | class index, a key on n <= 10 qubits < 2^11
+SYNDROME_SHIFT = 13
+
+
+@lru_cache(maxsize=SIGNATURE_TABLE_CACHE)
+def _signature_table(
+    stabilizer: StabilizerGroup, logical_x: Pauli, logical_z: Pauli
+) -> tuple[array, Counter]:
+    """The decoder-free signature table (words, W) of the k=1 codes with
+    these checks and logicals, tallied as a product over qubits.
+
+    words[e] = syndrome << SYNDROME_SHIFT | key << 2 | raw class index
+    (`_logical_class_index`) of error index e, with the composition key
+    (#X * b + #Y) * b + #Z, b = n + 1.  The syndrome and class index are
+    sums over qubits mod 2, so a signature is the XOR of its letters', and
+    a key their sum.  W counts the errors per word.
+    """
+    n, b = stabilizer.n, stabilizer.n + 1
+    code = StabilizerCode(n, 1, stabilizer, (logical_x,), (logical_z,))
+
+    def signature(p: Pauli) -> int:
+        return code.syndrome(p) << SYNDROME_SHIFT | _logical_class_index(code, p)
+
+    words = [0]
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        letters = [(signature(Pauli(n, x * bit, z * bit)), key << 2)
+                   for x, z, key in ((0, 0, 0), (1, 0, b * b), (1, 1, b), (0, 1, 1))]
+        words = [(w ^ s) + k for w in words for s, k in letters]
+    return array("I", words), Counter(words)
+
+
 @dataclass(frozen=True)
 class LogicalActionTable:
     """Logical action of lookup recovery for one code (cached on the code
     as `StabilizerCode.action_table`).
 
-    classes[e] is the residual logical class of error index e (base-4 digits
-    0=I,1=X,2=Y,3=Z, first qubit most significant); `cls` is the same as a
-    read-only uint8 array.  coeff[c][m] counts the errors of type
-    composition exps[m] = (#I, #X, #Y, #Z) left in class c: the code's
-    logical weight enumerator.
+    words and enumerator are the code's signature table, which codes with
+    the same checks and logicals share.  Lookup recovery is one class shift
+    per syndrome: recovery_table[s] has class index shifts[s], so error
+    index e (base-4 digits 0=I,1=X,2=Y,3=Z, first qubit most significant)
+    with syndrome s and raw class index c is left in class c ^ shifts[s] (`cls`,
+    read-only).  coeff[c][m] counts the errors of type composition exps[m] =
+    (#I, #X, #Y, #Z) left in class c: the code's logical weight enumerator.
     """
 
-    classes: bytes
+    words: array
+    enumerator: Counter
+    shifts: bytes
     coeff: tuple[tuple[int, ...], ...]
     exps: tuple[tuple[int, int, int, int], ...]
 
-    @property
+    @cached_property
     def cls(self) -> np.ndarray:
-        return np.frombuffer(self.classes, dtype=np.uint8)
+        words = np.asarray(self.words)
+        out = np.frombuffer(self.shifts, np.uint8)[words >> SYNDROME_SHIFT]
+        out ^= (words & 3).astype(np.uint8)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def weights(self) -> tuple[tuple[float, ...], ...]:
@@ -118,51 +162,33 @@ class LogicalActionTable:
 
     @classmethod
     def build(cls, code: StabilizerCode) -> "LogicalActionTable":
-        """Tabulate all 4^n errors as a product over qubits.
-
-        The syndrome and the logical class index (`_logical_class_index`) are
-        both sums over qubits mod 2, so an error's signature (syndrome bits
-        above the 2-bit class index) is the XOR of its letters' signatures,
-        and its (#X, #Y, #Z) key the sum of theirs.  The recovery for
-        syndrome s leaves the class index of the error XOR that of the
-        recovery, so the class is a lookup in a 2^(r+2)-entry table.
-        """
+        """Shift the code's signature table: coeff in one pass over W's
+        nonzero entries, each word's syndrome dropped and its class shifted."""
         if code.k != 1:
             raise ChannelError("effective channel requires k=1")
         if code.n > 10:
             raise ChannelError("exact enumeration limited to n <= 10")
-        n, r = code.n, code.n - code.k
+        n, r, b = code.n, code.n - code.k, code.n + 1
         if len(code.recovery_table) != 2**r:
             raise ChannelError("incomplete recovery table")
-        lookup = [0] * (4 << r)
-        for s, rec in code.recovery_table.items():
-            base, shift = s << 2, _logical_class_index(code, rec)
-            for c in range(4):
-                lookup[base | c] = c ^ shift
-
-        def signature(p: Pauli) -> int:
-            return code.syndrome(p) << 2 | _logical_class_index(code, p)
-
-        b = n + 1  # keys (#X, #Y, #Z) in base b
-        sigs, keys = [0], [0]
-        for q in range(n):
-            bit = 1 << (n - 1 - q)
-            letters = [signature(Pauli(n, x * bit, z * bit))
-                       for x, z in ((0, 0), (1, 0), (1, 1), (0, 1))]
-            sigs = [s ^ t for s in sigs for t in letters]
-            keys = [k + t for k in keys for t in (0, b * b, b, 1)]
-        classes = bytes(map(lookup.__getitem__, sigs))
-        # count errors by class * b^3 + key, in C: map, not a generator
-        tally = Counter(map(add, map((b**3).__mul__, classes), keys))
+        words, enumerator = _signature_table(
+            code.stabilizer, code.logical_x[0], code.logical_z[0]
+        )
+        shifts = bytes(_logical_class_index(code, code.recovery_table[s])
+                       for s in range(2**r))
+        shifted: dict[int, int] = {}
+        for w, count in enumerator.items():
+            key = (w & (1 << SYNDROME_SHIFT) - 1) ^ shifts[w >> SYNDROME_SHIFT]
+            shifted[key] = shifted.get(key, 0) + count
         exps = tuple(
             (n - x - y - z, x, y, z)
             for x in range(b) for y in range(b - x) for z in range(b - x - y)
         )
         coeff = tuple(
-            tuple(tally[c * b**3 + (x * b + y) * b + z] for _, x, y, z in exps)
+            tuple(shifted.get(((x * b + y) * b + z) << 2 | c, 0) for _, x, y, z in exps)
             for c in range(4)
         )
-        return cls(classes=classes, coeff=coeff, exps=exps)
+        return cls(words, enumerator, shifts, coeff, exps)
 
 
 def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:

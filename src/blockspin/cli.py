@@ -44,6 +44,8 @@ FAMILIES = {"depolarizing": "depolarizing", "bit-flip": "bit_flip"}
 TILINGS = {"plus": "plus_tiling", "brick": "brick_tiling", "trivial": "trivial_tiling"}
 # the builder argument of each --hand, for the kinds that have a handedness
 HANDS = {"plus": {"right": +1, "left": -1}, "brick": {"right": 2, "left": 3}}
+# argparse reads a separate argument that starts with "-" as an option
+ERROR_HELP = "Pauli string, e.g. XXYZI; give a signed one as --error=-iXXYZI"
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decode", cmd_decode, "syndrome + recovery for one error")
     add_code_opts(p)
-    p.add_argument("--error", required=True)
+    p.add_argument("--error", required=True, help=ERROR_HELP)
 
     p = add("channel-flow", cmd_channel_flow, "iterate the effective channel")
     add_code_opts(p)
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, "classify a concatenated-level error")
     add_code_opts(p)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--error", required=True)
+    p.add_argument("--error", required=True, help=ERROR_HELP)
 
     p = add("tiling", cmd_tiling, "build and validate a lattice tiling")
     p.add_argument("--kind", default="plus", choices=list(TILINGS))

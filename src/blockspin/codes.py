@@ -39,11 +39,12 @@ class StabilizerCode:
 
     A syndrome is an int of r = n - k bits, one per check, generator 0 at
     the most significant bit; to_dict writes it as an r-digit bit string.
-    recovery_table maps syndromes to correction Paulis; it always contains
-    the zero syndrome -> identity, and is complete only when the syndrome
-    space is small enough to tabulate (see build_recovery_table).
+    recovery_table maps syndromes to correction Paulis, the zero syndrome to
+    the identity unless given otherwise; it is complete only when the
+    syndrome space is small enough to tabulate (see build_recovery_table).
     The code is frozen and the table a read-only copy, so the cached
-    action_table stays this code's; derive variants with dataclasses.replace.
+    action_table stays this code's; variants (dataclasses.replace) with the
+    same checks and logicals share its decoder-free signature table.
     """
 
     n: int
@@ -56,15 +57,15 @@ class StabilizerCode:
     def __post_init__(self):
         if len(self.stabilizer.generators) != self.n - self.k:
             raise CodeError("expected n-k independent stabilizer generators")
-        table = dict(self.recovery_table) or {0: Pauli.identity(self.n)}
+        table = {0: Pauli.identity(self.n), **self.recovery_table}
         object.__setattr__(self, "logical_x", tuple(self.logical_x))
         object.__setattr__(self, "logical_z", tuple(self.logical_z))
         object.__setattr__(self, "recovery_table", MappingProxyType(table))
 
     @cached_property
     def action_table(self):
-        """The logical action of lookup recovery (channel.LogicalActionTable),
-        built on first use."""
+        """The lookup view (channel.LogicalActionTable) of the code's shared
+        signature table, built on first use."""
         from . import channel  # channel imports this module
 
         return channel.LogicalActionTable.build(self)

@@ -225,8 +225,8 @@ def concatenate_tiling(t: Tiling, levels: int) -> ConcatenatedTiling:
 
     Supported for the sqrt(5) tilings (plus/brick): the level-j centers form
     (2+i)^j Z[i] on the torus, and the level-(j+1) tile offsets are the base
-    offsets scaled by (2+i)^j.  Requires 5^levels | L^2 (enforced as
-    L = 0 mod 5^levels).
+    offsets scaled by (2+i)^j.  Requires 5^levels | L: the level-j centers
+    are new only when (2+i)^j divides L in Z[i], that is when 5^j | L.
     """
     if levels < 1:
         raise TilingError("levels must be >= 1")

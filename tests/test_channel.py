@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,7 @@ from blockspin.channel import (
     sample_effective_channel,
     threshold,
 )
-from blockspin.codes import five_qubit_code, shor_code, steane_code
+from blockspin.codes import _logical_class_index, five_qubit_code, shor_code, steane_code
 from blockspin.pauli import Pauli, multiply, random_pauli
 
 CODE = five_qubit_code()
@@ -56,6 +58,25 @@ BUILDERS = {"five-qubit": five_qubit_code, "steane": steane_code, "shor": shor_c
 # may still be hit once or twice
 MC_SIGMAS = 5
 MC_SAMPLES = 20_000
+# SHA-256 of repr(coeff), repr(exps) and the cls bytes of each code's lookup
+# table, frozen from the table that tallied residual classes directly
+TABLE_DIGESTS = {
+    "five-qubit": (
+        "d53974ea5ea137255e651a04df2ca2bcd9e285226a44a87bf383813aee8e3b0a",
+        "2f9f13602d51f360492931708481e39502b595770e29d77cad266f8a7faaec7d",
+        "51da49f863db70db598d61f68b2a3b6e086545223a03d40d1e8550ec00d097dc",
+    ),
+    "steane": (
+        "4ebae91590bae6fa38c5c22d0d719af971518fef8986a147d9e583bdaec04cab",
+        "f5e89dd1844c3d787eea593ad60fa0f054d003ca27e79b6a84c93c403d0093ea",
+        "a5bdb64d4cc27a855d813278f658a92fa2f9d3317999816495b2e2ef8d46df5b",
+    ),
+    "shor": (
+        "fa05c00ec821ee433df047e9ecfb961b4c72182ec7215994e49440249f8ff16f",
+        "897a0ada8d3c7eece8e00cc854536ae07e143604775d4806580de67dc517f530",
+        "85230609b7f4db51fabe67fad768e215a2c1b8fdf1c3e128eae7598e17ef8ff8",
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,6 +202,63 @@ class TestEffectiveChannel:
         np.testing.assert_allclose(got, poly / poly.sum(), rtol=0, atol=1e-15)
         assert np.abs(got - before.as_array()).max() > 0.01
         assert effective_channel(code, ch) == before
+
+
+class TestSignatureTable:
+    def test_enumerator_matches_brute_force(self):
+        # every five-qubit error's word from its own syndrome, composition
+        # and class index, in base-4 index order
+        code = five_qubit_code()
+        words = []
+        for letters in itertools.product("IXYZ", repeat=5):
+            e = Pauli.from_string("".join(letters))
+            key = (letters.count("X") * 6 + letters.count("Y")) * 6 + letters.count("Z")
+            words.append(code.syndrome(e) << channel.SYNDROME_SHIFT | key << 2
+                         | _logical_class_index(code, e))
+        table = code.action_table
+        assert list(table.words) == words
+        assert table.enumerator == Counter(words)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_each_syndrome_holds_its_share_of_the_errors(self, name):
+        code = _oracle_setup(name)[0]
+        per_syndrome = Counter()
+        for w, count in code.action_table.enumerator.items():
+            per_syndrome[w >> channel.SYNDROME_SHIFT] += count
+        r = code.n - code.k
+        assert per_syndrome == dict.fromkeys(range(2**r), 4**code.n // 2**r)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_lookup_view_is_pinned(self, name):
+        code, table, _ = _oracle_setup(name)
+        got = (repr(table.coeff).encode(), repr(table.exps).encode(), table.cls.tobytes())
+        assert tuple(hashlib.sha256(b).hexdigest() for b in got) == TABLE_DIGESTS[name]
+        assert table.cls.size == 4**code.n
+
+    def test_recovery_variant_runs_no_second_product(self):
+        # each cache miss runs the product over qubits once
+        channel._signature_table.cache_clear()
+        code = five_qubit_code()
+        table = dict(code.recovery_table)
+        table[0b0001] = multiply(code.logical_x[0], table[0b0001])
+        variant = dataclasses.replace(code, recovery_table=table)
+        ours, theirs = code.action_table, variant.action_table
+        assert theirs.words is ours.words and theirs.enumerator is ours.enumerator
+        assert theirs.coeff != ours.coeff
+        info = channel._signature_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_other_logical_x_gets_its_own_signature_table(self):
+        # Xbar times a check acts alike on the code space but pairs
+        # differently with the errors, so its raw class indices differ; the
+        # recovery's indices differ alike, and the lookup channel is the same
+        code = five_qubit_code()
+        logical_x = multiply(code.logical_x[0], code.stabilizer.generators[0])
+        variant = dataclasses.replace(code, logical_x=(logical_x,))
+        ours, theirs = code.action_table, variant.action_table
+        assert theirs.words != ours.words
+        assert theirs.coeff == ours.coeff
+        assert np.array_equal(theirs.cls, ours.cls)
 
 
 class TestWeightEnumerator:
@@ -639,7 +717,7 @@ class TestClassifyError:
         sample = [random_pauli(rng, 7) for _ in range(400)]
         digits = str.maketrans("IXYZ", "0123")
         for code, errors in ((CODE, five), (steane, sample)):
-            classes = code.action_table.classes
+            classes = code.action_table.cls
             for e in errors:
                 index = int(e.to_string().lstrip("+-i").translate(digits), 4)
                 assert "IXYZ"[classes[index]] == code.logical_class(code.recover(e))

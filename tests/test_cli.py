@@ -281,6 +281,20 @@ class TestArtifacts:
         assert doc["meta"]["config"]["code"] == "five-qubit"
         assert doc["code"]["n"] == 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["decode"], ["classify", "--levels", "1"]],
+        ids=["decode", "classify"],
+    )
+    def test_signed_error_needs_the_equals_form(self, argv, tmp_path, capsys):
+        # argparse reads a separate "-iXXYZI" as an option: a usage error
+        out = tmp_path / "artifact.json"
+        assert run([*argv, "--error", "-iXXYZI", "--out", str(out)]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+        assert run([*argv, "--error=-iXXYZI", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["config"]["error"] == "-iXXYZI"
+
     def test_decode_output(self, tmp_path):
         out = tmp_path / "dec.json"
         run(["decode", "--error", "XIIII", "--out", str(out)])

@@ -456,6 +456,17 @@ class TestFrozenCode:
         assert variant.recovery_table == code.recovery_table
         assert variant.recovery_table[0] == Pauli.identity(5)
 
+    def test_partial_table_keeps_the_zero_syndrome(self):
+        code = five_qubit_code()
+        entry = code.recovery_table[0b0001]
+        partial = dataclasses.replace(code, recovery_table={0b0001: entry})
+        assert partial.recovery_table == {0: Pauli.identity(5), 0b0001: entry}
+        assert partial.recover(Pauli.identity(5)) == Pauli.identity(5)
+        # an explicit entry for the zero syndrome wins
+        check = code.stabilizer.generators[0]
+        explicit = dataclasses.replace(code, recovery_table={0: check})
+        assert explicit.recovery_table == {0: check}
+
     @pytest.mark.parametrize(
         "build",
         [five_qubit_code, steane_code, shor_code, lambda: toric_code(2), lambda: toric_code(3)],

@@ -426,8 +426,13 @@ class TestConcatenation:
             assert (int(site.real) % L, int(site.imag) % L) == (x, y)
 
     def test_extent_restriction(self):
-        with pytest.raises(TilingError):
-            concatenate_tiling(plus_tiling(5, +1), 2)
+        # 5^levels must divide L: L = 25 with 3 levels has 5^3 | L^2, but a
+        # third level would repeat the 25 centers of level 2
+        for L, levels in ((5, 2), (25, 3)):
+            with pytest.raises(TilingError, match="not divisible"):
+                concatenate_tiling(plus_tiling(L, +1), levels)
+        c = concatenate_tiling(plus_tiling(50), 2)
+        assert (c.top_tile_count, len(c.addresses)) == (100, 2500)
 
     def test_frozen_with_read_only_addresses(self):
         c = concatenate_tiling(plus_tiling(25, +1), 2)
