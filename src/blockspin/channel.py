@@ -16,13 +16,14 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
+from types import MappingProxyType
 
 from ._numpy import np
 
 from .codes import StabilizerCode, _logical_class_index
-from .pauli import Pauli, StabilizerGroup
+from .pauli import Pauli
 
 PROBABILITY_SLACK = 1e-12  # float rounding left in a normalized channel
 NOISE_QUALITY_MARGIN = 1e-6  # a stall this close to quality 1 is not noise
@@ -92,39 +93,7 @@ class PauliChannel:
         return 1.0 - h
 
 
-# signature tables kept at once, the least recently used dropped first; the
-# Shor code's holds 3.5 MB
-SIGNATURE_TABLE_CACHE = 8
-# a word's syndrome sits above key << 2 | class index, a key on n <= 10 qubits < 2^11
-SYNDROME_SHIFT = 13
-
-
-@lru_cache(maxsize=SIGNATURE_TABLE_CACHE)
-def _signature_table(
-    stabilizer: StabilizerGroup, logical_x: Pauli, logical_z: Pauli
-) -> tuple[array, Counter]:
-    """The decoder-free signature table (words, W) of the k=1 codes with
-    these checks and logicals, tallied as a product over qubits.
-
-    words[e] = syndrome << SYNDROME_SHIFT | key << 2 | raw class index
-    (`_logical_class_index`) of error index e, with the composition key
-    (#X * b + #Y) * b + #Z, b = n + 1.  The syndrome and class index are
-    sums over qubits mod 2, so a signature is the XOR of its letters', and
-    a key their sum.  W counts the errors per word.
-    """
-    n, b = stabilizer.n, stabilizer.n + 1
-    code = StabilizerCode(n, 1, stabilizer, (logical_x,), (logical_z,))
-
-    def signature(p: Pauli) -> int:
-        return code.syndrome(p) << SYNDROME_SHIFT | _logical_class_index(code, p)
-
-    words = [0]
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        letters = [(signature(Pauli(n, x * bit, z * bit)), key << 2)
-                   for x, z, key in ((0, 0, 0), (1, 0, b * b), (1, 1, b), (0, 1, 1))]
-        words = [(w ^ s) + k for w in words for s, k in letters]
-    return array("I", words), Counter(words)
+SYNDROME_SHIFT = 13  # a word's syndrome bits, above key << 2 | class; key < 2^11
 
 
 @dataclass(frozen=True)
@@ -132,17 +101,17 @@ class LogicalActionTable:
     """Logical action of lookup recovery for one code (cached on the code
     as `StabilizerCode.action_table`).
 
-    words and enumerator are the code's signature table, which codes with
-    the same checks and logicals share.  Lookup recovery is one class shift
-    per syndrome: recovery_table[s] has class index shifts[s], so error
-    index e (base-4 digits 0=I,1=X,2=Y,3=Z, first qubit most significant)
-    with syndrome s and raw class index c is left in class c ^ shifts[s] (`cls`,
-    read-only).  coeff[c][m] counts the errors of type composition exps[m] =
-    (#I, #X, #Y, #Z) left in class c: the code's logical weight enumerator.
+    words[e] = syndrome << SYNDROME_SHIFT | key << 2 | raw class index
+    (`_logical_class_index`) of error index e (base-4 digits 0=I,1=X,2=Y,3=Z,
+    first qubit most significant), key = (#X * b + #Y) * b + #Z, b = n + 1;
+    enumerator (W) counts the errors per word.  This signature table is
+    read-only and has no decoder: recovery_table[s] shifts a class by its
+    class index shifts[s], so cls[e] = c ^ shifts[s], and coeff[c][m] counts
+    the errors of composition exps[m] = (#I, #X, #Y, #Z) left in class c.
     """
 
-    words: array
-    enumerator: Counter
+    words: memoryview
+    enumerator: MappingProxyType
     shifts: bytes
     coeff: tuple[tuple[int, ...], ...]
     exps: tuple[tuple[int, int, int, int], ...]
@@ -150,8 +119,8 @@ class LogicalActionTable:
     @cached_property
     def cls(self) -> np.ndarray:
         words = np.asarray(self.words)
-        out = np.frombuffer(self.shifts, np.uint8)[words >> SYNDROME_SHIFT]
-        out ^= (words & 3).astype(np.uint8)
+        shifts = np.frombuffer(self.shifts, np.uint8)[words >> SYNDROME_SHIFT]
+        out = (shifts ^ words & 3).astype(np.uint8)
         out.flags.writeable = False
         return out
 
@@ -162,8 +131,8 @@ class LogicalActionTable:
 
     @classmethod
     def build(cls, code: StabilizerCode) -> "LogicalActionTable":
-        """Shift the code's signature table: coeff in one pass over W's
-        nonzero entries, each word's syndrome dropped and its class shifted."""
+        """Tabulate all 4^n words as a product over qubits: a signature is a
+        sum over qubits mod 2, the XOR of its letters', and a key their sum."""
         if code.k != 1:
             raise ChannelError("effective channel requires k=1")
         if code.n > 10:
@@ -171,24 +140,27 @@ class LogicalActionTable:
         n, r, b = code.n, code.n - code.k, code.n + 1
         if len(code.recovery_table) != 2**r:
             raise ChannelError("incomplete recovery table")
-        words, enumerator = _signature_table(
-            code.stabilizer, code.logical_x[0], code.logical_z[0]
-        )
+        words = [0]
+        for q in range(n):
+            bit = 1 << (n - 1 - q)
+            letters = [(Pauli(n, x * bit, z * bit), key << 2)
+                       for x, z, key in ((0, 0, 0), (1, 0, b * b), (1, 1, b), (0, 1, 1))]
+            sigs = [(code.syndrome(p) << SYNDROME_SHIFT | _logical_class_index(code, p), k)
+                    for p, k in letters]
+            words = [(w ^ s) + k for w in words for s, k in sigs]
+        enumerator = Counter(words)
         shifts = bytes(_logical_class_index(code, code.recovery_table[s])
                        for s in range(2**r))
-        shifted: dict[int, int] = {}
-        for w, count in enumerator.items():
-            key = (w & (1 << SYNDROME_SHIFT) - 1) ^ shifts[w >> SYNDROME_SHIFT]
-            shifted[key] = shifted.get(key, 0) + count
         exps = tuple(
             (n - x - y - z, x, y, z)
             for x in range(b) for y in range(b - x) for z in range(b - x - y)
         )
-        coeff = tuple(
-            tuple(shifted.get(((x * b + y) * b + z) << 2 | c, 0) for _, x, y, z in exps)
-            for c in range(4)
-        )
-        return cls(words, enumerator, shifts, coeff, exps)
+        # each composition's error count per class, keyed by key << 2 (a word's middle bits)
+        cols = {((x * b + y) * b + z) << 2: [0, 0, 0, 0] for _, x, y, z in exps}
+        for w, cnt in enumerator.items():  # one pass over W's nonzero entries
+            cols[w & (1 << SYNDROME_SHIFT) - 4][w & 3 ^ shifts[w >> SYNDROME_SHIFT]] += cnt
+        return cls(memoryview(array("I", words)).toreadonly(), MappingProxyType(enumerator),
+                   shifts, tuple(zip(*cols.values())), exps)
 
 
 def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:

@@ -43,8 +43,7 @@ class StabilizerCode:
     the identity unless given otherwise; it is complete only when the
     syndrome space is small enough to tabulate (see build_recovery_table).
     The code is frozen and the table a read-only copy, so the cached
-    action_table stays this code's; variants (dataclasses.replace) with the
-    same checks and logicals share its decoder-free signature table.
+    action_table stays this code's; derive variants with dataclasses.replace.
     """
 
     n: int
@@ -64,8 +63,8 @@ class StabilizerCode:
 
     @cached_property
     def action_table(self):
-        """The lookup view (channel.LogicalActionTable) of the code's shared
-        signature table, built on first use."""
+        """The signature table and lookup recovery's logical action
+        (channel.LogicalActionTable), built on first use."""
         from . import channel  # channel imports this module
 
         return channel.LogicalActionTable.build(self)

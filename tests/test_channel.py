@@ -235,18 +235,27 @@ class TestSignatureTable:
         assert tuple(hashlib.sha256(b).hexdigest() for b in got) == TABLE_DIGESTS[name]
         assert table.cls.size == 4**code.n
 
-    def test_recovery_variant_runs_no_second_product(self):
-        # each cache miss runs the product over qubits once
-        channel._signature_table.cache_clear()
+    def test_recovery_variant_changes_only_the_shifts(self):
+        # the signature table holds no decoder: a variant that differs only
+        # in its recovery tallies the same words, and shifts their classes
         code = five_qubit_code()
         table = dict(code.recovery_table)
         table[0b0001] = multiply(code.logical_x[0], table[0b0001])
         variant = dataclasses.replace(code, recovery_table=table)
         ours, theirs = code.action_table, variant.action_table
-        assert theirs.words is ours.words and theirs.enumerator is ours.enumerator
+        assert theirs.words == ours.words and theirs.enumerator == ours.enumerator
+        assert [s for s in range(16) if theirs.shifts[s] != ours.shifts[s]] == [0b0001]
         assert theirs.coeff != ours.coeff
-        info = channel._signature_table.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+
+    def test_signature_table_is_read_only(self):
+        table = five_qubit_code().action_table
+        with pytest.raises(TypeError):
+            table.words[0] = 1
+        with pytest.raises(TypeError):
+            table.enumerator[0] = 1
+        with pytest.raises(ValueError):
+            table.cls[0] = 1
+        assert type(table.shifts) is bytes
 
     def test_other_logical_x_gets_its_own_signature_table(self):
         # Xbar times a check acts alike on the code space but pairs
