@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 
 from ._numpy import np
+from ._value import frozen
 
 from .codes import StabilizerCode, _logical_class_index
 from .pauli import Pauli
@@ -40,7 +40,7 @@ class IndeterminateFlowError(ChannelError):
     """Flow hit the level cap without resolving; signals threshold proximity."""
 
 
-@dataclass(frozen=True)
+@frozen
 class PauliChannel:
     """Probability 4-vector over {I, X, Y, Z}."""
 
@@ -96,7 +96,7 @@ class PauliChannel:
 SYNDROME_SHIFT = 13  # a word's syndrome bits, above key << 2 | class; key < 2^11
 
 
-@dataclass(frozen=True)
+@frozen
 class LogicalActionTable:
     """Logical action of lookup recovery for one code (cached on the code
     as `StabilizerCode.action_table`).
@@ -192,7 +192,7 @@ def sample_effective_channel(
     return counts / n_samples
 
 
-@dataclass(frozen=True)
+@frozen
 class FlowTrajectory:
     """Channel iterates with their quality values and the final verdict;
     frozen, with the levels as a tuple (any iterable is accepted)."""
@@ -221,21 +221,21 @@ def flow(
         raise ChannelError(f"max_levels must be >= 0, got {max_levels}")
     if not tol > 0:
         raise ChannelError(f"tol must be > 0, got {tol}")
-    levels = [(0, ch, ch.quality())]
-    current = ch
+    current, q = ch, ch.quality()
+    levels = [(0, current, q)]
     if current.error_probability() < tol:
         return FlowTrajectory(levels, "converged-to-identity")
     for r in range(1, max_levels + 1):
         nxt = effective_channel(code, current)
-        levels.append((r, nxt, nxt.quality()))
+        q_next = nxt.quality()
+        levels.append((r, nxt, q_next))
         if nxt.error_probability() < tol:
             return FlowTrajectory(levels, "converged-to-identity")
-        stalled = abs(nxt.quality() - current.quality()) < tol
-        if stalled and nxt.quality() < 1.0 - NOISE_QUALITY_MARGIN:
+        if abs(q_next - q) < tol and q_next < 1.0 - NOISE_QUALITY_MARGIN:
             return FlowTrajectory(levels, "converged-to-noise")
         if nxt == current:
             return FlowTrajectory(levels, "converged-to-fixed-point")
-        current = nxt
+        current, q = nxt, q_next
     return FlowTrajectory(levels, "max-iterations")
 
 
@@ -359,7 +359,7 @@ def linearize(
     ]
 
 
-@dataclass(frozen=True)
+@frozen
 class MemorySupport:
     """Result of the epsilon-memory-support functional."""
 
@@ -404,7 +404,7 @@ def memory_support(
     return MemorySupport(float(code.n**r_last * L**d), r_last, traj.verdict)
 
 
-@dataclass(frozen=True)
+@frozen
 class LevelRecord:
     level: int
     residual: tuple[str, ...]  # logical class per block at this level

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
 from ._numpy import np
+from ._value import frozen, replace
 
 from .pauli import (
     DENSE_QUBIT_CAP,
@@ -33,7 +33,7 @@ class CodeError(ValueError):
     """Raised on inconsistent code definitions or unsupported queries."""
 
 
-@dataclass(frozen=True)
+@frozen
 class StabilizerCode:
     """An [[n, k]] stabilizer code with logical operators and recovery table.
 
@@ -43,7 +43,7 @@ class StabilizerCode:
     the identity unless given otherwise; it is complete only when the
     syndrome space is small enough to tabulate (see build_recovery_table).
     The code is frozen and the table a read-only copy, so the cached
-    action_table stays this code's; derive variants with dataclasses.replace.
+    action_table stays this code's; derive variants with _value.replace.
     """
 
     n: int
@@ -51,7 +51,7 @@ class StabilizerCode:
     stabilizer: StabilizerGroup
     logical_x: tuple[Pauli, ...]
     logical_z: tuple[Pauli, ...]
-    recovery_table: Mapping[int, Pauli] = field(default_factory=dict)
+    recovery_table: Mapping[int, Pauli] = MappingProxyType({})
 
     def __post_init__(self):
         if len(self.stabilizer.generators) != self.n - self.k:
@@ -356,7 +356,7 @@ def toric_code(L: int) -> StabilizerCode:
 # Tile Hamiltonian
 
 
-@dataclass(frozen=True)
+@frozen
 class TileHamiltonian:
     """H = -sum_i K_i M_i over pairwise-commuting check operators, K_i > 0;
     frozen, with couplings and terms as tuples (any iterables are accepted)."""

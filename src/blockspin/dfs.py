@@ -9,9 +9,9 @@ a subsystem otherwise.  The dynamics, not the analyst, choose the code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._value import frozen
 
 DIM_CAP = 64  # collective noise on n = 6 qubits
 # commutant unknowns: 400 for collective noise on 6 qubits, the most the CLI
@@ -42,7 +42,7 @@ class AlgebraError(ValueError):
     """Raised on dimension overflow or irresolvable numerical degeneracy."""
 
 
-@dataclass(frozen=True)
+@frozen
 class OperatorSet:
     """Generators of an interaction algebra on a dim-dimensional space;
     frozen, with the generators as a tuple (any iterable is accepted)."""
@@ -61,14 +61,14 @@ class OperatorSet:
                 raise AlgebraError("generator shape mismatch")
 
 
-@dataclass(frozen=True)
+@frozen
 class Block:
     irrep_dim: int        # d_i
     multiplicity: int     # m_i
     isometry: np.ndarray  # dim x (d_i * m_i), columns ordered (irrep, copy)
 
 
-@dataclass(frozen=True)
+@frozen
 class AlgebraDecomposition:
     dim: int
     blocks: tuple[Block, ...]
@@ -207,7 +207,7 @@ def decompose(ops: OperatorSet, seed: int = 2024) -> AlgebraDecomposition:
     return dec
 
 
-@dataclass(frozen=True)
+@frozen
 class NoiselessBlock:
     block_index: int
     protected_dim: int

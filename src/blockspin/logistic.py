@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+
+from ._value import frozen
 
 # a recurrence: above the float noise of an orbit settled on its cycle,
 # below the branch gaps that the cycle report separates
@@ -25,7 +26,7 @@ class DynamicsError(ValueError):
     """Raised on invalid growth parameters."""
 
 
-@dataclass(frozen=True)
+@frozen
 class LogisticParams:
     r: float
     K: float
@@ -78,7 +79,7 @@ def map_orbit(mu: float, kappa: float, n0: float, steps: int) -> list[float]:
     return orbit
 
 
-@dataclass(frozen=True)
+@frozen
 class CycleReport:
     kind: str            # fixed | period-k | aperiodic-within-window
     period: int | None

@@ -9,11 +9,11 @@ operations (the packed tableau of Aaronson & Gottesman, quant-ph/0406196).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from ._numpy import np
+from ._value import frozen
 
 _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
 _LETTERS = frozenset("IXYZ")
@@ -48,7 +48,7 @@ def _spread(v: int) -> int:
     return int(f"{v:b}", 16)
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class Pauli:
     """An n-qubit Pauli operator i^phase_exp * prod X^x Z^z.
 
@@ -156,7 +156,7 @@ def commutes(p: Pauli, q: Pauli) -> bool:
     return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
-@dataclass(frozen=True)
+@frozen
 class StabilizerGroup:
     """A group of commuting Paulis given by an ordered generating set.
 

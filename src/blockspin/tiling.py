@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+
+from ._value import frozen
 
 
 class TilingError(ValueError):
@@ -31,7 +32,7 @@ SVG_CELL = 24  # pixels per lattice site
 TILING_L_CAP = 625
 
 
-@dataclass(frozen=True)
+@frozen
 class Tiling:
     """Translates of one tile shape placed at centers on the L x L torus;
     centers[tile_id] is the tile's anchor site.
@@ -200,7 +201,7 @@ def _is_similar_sublattice(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class ConcatenatedTiling:
     """r-level hierarchical blocking; each site gets a position path and a
     top-level tile index.  Frozen, with the addresses as a read-only view
@@ -208,9 +209,7 @@ class ConcatenatedTiling:
 
     base: Tiling
     levels: int
-    addresses: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]] = field(
-        default_factory=dict
-    )
+    addresses: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]]
 
     def __post_init__(self):
         object.__setattr__(self, "addresses", MappingProxyType(self.addresses))

@@ -10,8 +10,9 @@ contiguous regions and its characteristic cardinality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
+from ._value import frozen
 from .codes import (
     toric_code,
     toric_edge_index,
@@ -34,19 +35,21 @@ class ToricError(ValueError):
     """Raised on unsupported torus sizes or invalid generator surgery."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ToricState:
     """Pure stabilizer state: toric code stabilizer plus the two Z loops
     fixing the logical sector (rank 2L^2).  Frozen, so the group and its
     cached canonical rows stay the state's."""
 
     L: int
-    group: StabilizerGroup = field(init=False)
 
     def __post_init__(self):
+        self.group  # built now, so an unsupported L is refused at once
+
+    @cached_property
+    def group(self) -> StabilizerGroup:
         code = toric_code(self.L)
-        gens = code.stabilizer.generators + code.logical_z
-        object.__setattr__(self, "group", StabilizerGroup(code.n, gens))
+        return StabilizerGroup(code.n, code.stabilizer.generators + code.logical_z)
 
     @property
     def n(self) -> int:
@@ -127,14 +130,14 @@ def square_patch_edges(L: int, k: int) -> list[int]:
     return edges
 
 
-@dataclass(frozen=True)
+@frozen
 class ScanRow:
     region_size: int
     entropy: int
     correlation: int
 
 
-@dataclass(frozen=True)
+@frozen
 class CardinalityScan:
     rows: tuple[ScanRow, ...]
     characteristic_cardinality: int | None
@@ -174,7 +177,7 @@ def cardinality_scan(
     return CardinalityScan(rows=rows, characteristic_cardinality=n_t)
 
 
-@dataclass(frozen=True)
+@frozen
 class RescalingCheck:
     """verify_rescaling's verdicts; swaps_preserve_group is True or the call raised."""
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockspin import channel
+from blockspin._value import replace
 from blockspin.channel import (
     FAMILY_INVARIANCE_ATOL,
     ChannelError,
@@ -193,7 +194,7 @@ class TestEffectiveChannel:
         table = dict(code.recovery_table)
         s = 0b0001
         table[s] = multiply(code.logical_x[0], table[s])
-        variant = dataclasses.replace(code, recovery_table=table)
+        variant = replace(code, recovery_table=table)
         fresh = LogicalActionTable.build(variant)
         assert variant.action_table == fresh
         p = ch.as_array()
@@ -241,7 +242,7 @@ class TestSignatureTable:
         code = five_qubit_code()
         table = dict(code.recovery_table)
         table[0b0001] = multiply(code.logical_x[0], table[0b0001])
-        variant = dataclasses.replace(code, recovery_table=table)
+        variant = replace(code, recovery_table=table)
         ours, theirs = code.action_table, variant.action_table
         assert theirs.words == ours.words and theirs.enumerator == ours.enumerator
         assert [s for s in range(16) if theirs.shifts[s] != ours.shifts[s]] == [0b0001]
@@ -263,7 +264,7 @@ class TestSignatureTable:
         # recovery's indices differ alike, and the lookup channel is the same
         code = five_qubit_code()
         logical_x = multiply(code.logical_x[0], code.stabilizer.generators[0])
-        variant = dataclasses.replace(code, logical_x=(logical_x,))
+        variant = replace(code, logical_x=(logical_x,))
         ours, theirs = code.action_table, variant.action_table
         assert theirs.words != ours.words
         assert theirs.coeff == ours.coeff
@@ -743,7 +744,7 @@ class TestClassifyError:
         steane = steane_code()
         singles = [Pauli.from_string("I" * q + "X" + "I" * (6 - q)) for q in range(7)]
         kept = {steane.syndrome(p) for p in [Pauli.identity(7), *singles]}
-        code = dataclasses.replace(steane, recovery_table={
+        code = replace(steane, recovery_table={
             s: steane.recovery_table[s] for s in kept
         })
         with pytest.raises(ChannelError, match="incomplete recovery table"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockspin import codes
+from blockspin._value import replace
 from blockspin.codes import (
     CodeError,
     StabilizerCode,
@@ -223,7 +224,7 @@ class TestValidate:
     def test_refusals(self, change, match):
         FIVE.validate()
         with pytest.raises(ValueError, match=match):
-            dataclasses.replace(FIVE, **change).validate()
+            replace(FIVE, **change).validate()
 
     def test_anticommuting_logical_xs_refused(self):
         # Xbar_1 Zbar_0 pairs with Zbar_1 and commutes with Zbar_0 and the
@@ -231,7 +232,7 @@ class TestValidate:
         code = toric_code(3)
         code.validate()
         (lx0, lx1), (lz0, _) = code.logical_x, code.logical_z
-        variant = dataclasses.replace(code, logical_x=[lx0, multiply(lx1, lz0)])
+        variant = replace(code, logical_x=[lx0, multiply(lx1, lz0)])
         with pytest.raises(CodeError, match="logical pairs 0 and 1 must commute"):
             variant.validate()
 
@@ -450,7 +451,7 @@ class TestFrozenCode:
     def test_caller_dict_copied(self):
         code = five_qubit_code()
         table = dict(code.recovery_table)
-        variant = dataclasses.replace(code, recovery_table=table)
+        variant = replace(code, recovery_table=table)
         table[0] = Pauli.from_string("XIIII")
         del table[0b0001]
         assert variant.recovery_table == code.recovery_table
@@ -459,12 +460,12 @@ class TestFrozenCode:
     def test_partial_table_keeps_the_zero_syndrome(self):
         code = five_qubit_code()
         entry = code.recovery_table[0b0001]
-        partial = dataclasses.replace(code, recovery_table={0b0001: entry})
+        partial = replace(code, recovery_table={0b0001: entry})
         assert partial.recovery_table == {0: Pauli.identity(5), 0b0001: entry}
         assert partial.recover(Pauli.identity(5)) == Pauli.identity(5)
         # an explicit entry for the zero syndrome wins
         check = code.stabilizer.generators[0]
-        explicit = dataclasses.replace(code, recovery_table={0: check})
+        explicit = replace(code, recovery_table={0: check})
         assert explicit.recovery_table == {0: check}
 
     @pytest.mark.parametrize(
@@ -495,6 +496,6 @@ class TestFrozenCode:
     def test_action_table_cached_per_code(self):
         code = five_qubit_code()
         assert code.action_table is code.action_table
-        variant = dataclasses.replace(code)
+        variant = replace(code)
         assert variant.action_table is not code.action_table
         assert variant.action_table == code.action_table

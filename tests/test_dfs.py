@@ -1,9 +1,10 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import numpy as np
 import pytest
 
+from blockspin._value import replace
 from blockspin.dfs import (
     AlgebraDecomposition,
     AlgebraError,

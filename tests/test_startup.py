@@ -1,5 +1,6 @@
 """numpy and the package's layers are imported on first use: a subcommand
-loads only the layers it calls, and only `dfs` loads numpy.
+loads only the layers it calls, only `dfs` loads numpy, and no other job
+loads `dataclasses` or `inspect`.
 
 Each check runs in a fresh interpreter, since the test process has usually
 imported numpy and every layer already.  A module-level numpy call anywhere
@@ -75,25 +76,42 @@ NO_NUMPY = (
 )
 
 
-@pytest.mark.parametrize(
-    "setup",
-    [
-        "import blockspin",
-        "import blockspin.cli",
-        "from blockspin import cli\n"
-        "assert cli.main(['tiling', '--L', '25', '--out', {out!r}]) == 0",
-        "from blockspin.tiling import concatenate_tiling, plus_tiling\n"
-        "assert len(concatenate_tiling(plus_tiling(25), 2).addresses) == 625",
-        *(
-            f"from blockspin import cli\nassert cli.main({argv!r} + ['--out', {{out!r}}]) == 0"
-            for argv in (*CHANNEL_JOBS.values(), *LOGISTIC_JOBS.values())
-        ),
-    ],
-    ids=["import", "import-cli", "tiling-subcommand", "concatenate", *CHANNEL_JOBS, *LOGISTIC_JOBS],
-)
+# every setup but `dfs`, whose numpy loads `inspect` itself
+NUMPY_FREE_SETUPS = {
+    "import": "import blockspin",
+    "import-cli": "import blockspin.cli",
+    "tiling-subcommand": "from blockspin import cli\n"
+    "assert cli.main(['tiling', '--L', '25', '--out', {out!r}]) == 0",
+    "concatenate": "from blockspin.tiling import concatenate_tiling, plus_tiling\n"
+    "assert len(concatenate_tiling(plus_tiling(25), 2).addresses) == 625",
+    **{
+        job: f"from blockspin import cli\nassert cli.main({argv!r} + ['--out', {{out!r}}]) == 0"
+        for job, argv in {**CHANNEL_JOBS, **LOGISTIC_JOBS}.items()
+    },
+}
+
+
+@pytest.mark.parametrize("setup", NUMPY_FREE_SETUPS.values(), ids=NUMPY_FREE_SETUPS)
 def test_numpy_not_loaded(setup, tmp_path):
     setup = setup.format(out=str(tmp_path / "artifact"))
     proc = fresh(NO_NUMPY.format(setup=setup))
+    assert proc.returncode == 0, proc.stderr
+
+
+# `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`; the package's
+# value types (`blockspin._value.frozen`) need neither module
+NO_DATACLASSES = (
+    "import sys\n"
+    "{setup}\n"
+    "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+    "assert not loaded, loaded\n"
+)
+
+
+@pytest.mark.parametrize("setup", NUMPY_FREE_SETUPS.values(), ids=NUMPY_FREE_SETUPS)
+def test_dataclasses_and_inspect_not_loaded(setup, tmp_path):
+    setup = setup.format(out=str(tmp_path / "artifact"))
+    proc = fresh(NO_DATACLASSES.format(setup=setup))
     assert proc.returncode == 0, proc.stderr
 
 
