@@ -8,7 +8,7 @@ blocking rescales the lattice by sqrt(5) and rotates it by +-arctan(1/2).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from functools import cached_property
 from types import MappingProxyType
 
@@ -24,11 +24,14 @@ BRICK_OFFSETS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
 SVG_CELL = 24  # pixels per lattice site
 
 # Time and memory grow as L^2.  In process (`cli.main` after import, Python
-# 3.11, 2 shared cores), `tiling --L 250 / 500 / 625 / 1000` takes 0.11 / 0.47
-# / 0.75 / 2.3 s (peak RSS 28 / 76 / 117 / 284 MB); at L = 625 `--trivial`
-# takes 2.0 s (212 MB) and `--svg` 2.5 s (297 MB), at L = 1000 5.3 s (515 MB)
-# and 6.7 s (729 MB).  The cap admits L = 625 = 5^4, which a 4-level
-# concatenation needs, and keeps every run near 2.5 s and 300 MB.
+# 3.11, 2 shared cores, median of 3), `tiling --L 250 / 500 / 625 / 1000`
+# takes 0.04 / 0.18 / 0.28 / 0.81 s (peak RSS 17 / 26 / 32 / 63 MB): it
+# validates from the centers and the tile, building no site cover.  At L =
+# 625 `--trivial` takes 1.2 s (105 MB), at L = 1000 3.2 s (260 MB).  The L^2
+# cover is built by `--svg` (L = 625: 1.7 s, 306 MB; L = 1000: 5.0 s,
+# 758 MB), by concatenation and on the fault path.  The cap admits L = 625 =
+# 5^4, which a 4-level concatenation needs, and keeps every run near 2 s and
+# 300 MB.
 TILING_L_CAP = 625
 
 
@@ -37,8 +40,9 @@ class Tiling:
     """Translates of one tile shape placed at centers on the L x L torus;
     centers[tile_id] is the tile's anchor site.
 
-    Frozen, with the centers as a tuple (any iterable is accepted), so the
-    cover and the geometry derived from them on first use stay theirs.
+    Frozen, with the tile shape and the centers as tuples (any iterables
+    are accepted), so the cover and the geometry derived from them on first
+    use stay theirs.
     """
 
     L: int
@@ -49,6 +53,7 @@ class Tiling:
     def __post_init__(self):
         if self.L < 1:
             raise TilingError(f"extent L must be >= 1, got {self.L}")
+        object.__setattr__(self, "tile_shape", tuple(map(tuple, self.tile_shape)))
         object.__setattr__(self, "centers", tuple(self.centers))
 
     @property
@@ -62,12 +67,17 @@ class Tiling:
         return _build_assignment(self.L, self.tile_shape, self.centers)
 
     @cached_property
+    def _center_set(self) -> frozenset[tuple[int, int]]:
+        """The centers reduced mod L, read by the fit and the cover test."""
+        L = self.L
+        return frozenset((x % L, y % L) for x, y in self.centers)
+
+    @cached_property
     def _similarity(self) -> tuple[float, float]:
         """(rescale, rotation) of a similar sublattice basis fitted to the
         centers, with the rotation in (-pi/4, pi/4]; raises TilingError when
         the centers miss the origin, hold no other site or are not similar."""
-        L = self.L
-        center_set = {(c[0] % L, c[1] % L) for c in self.centers}
+        L, center_set = self.L, self._center_set
         if (0, 0) not in center_set:
             raise TilingError("center sublattice must contain the origin")
         # candidate basis vectors: minimal-norm nonzero centers in signed
@@ -132,9 +142,7 @@ def _centers(L: int, row_offset: int, period: int = 5) -> list[tuple[int, int]]:
     an extent above TILING_L_CAP before building any of the L^2 sites."""
     if L > TILING_L_CAP:
         raise TilingError(f"tiling extent L={L} exceeds cap {TILING_L_CAP}")
-    return [
-        (x, y) for y in range(L) for x in range(L) if (x - row_offset * y) % period == 0
-    ]
+    return [(x, y) for y in range(L) for x in range(row_offset * y % period, L, period)]
 
 
 def plus_tiling(L: int, handedness: int = +1) -> Tiling:
@@ -174,13 +182,41 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
     Returns (True, rescale, rotation) on success; raises TilingError with a
     distinct message for overlap/gap/non-similar failures.  The reported
     rotation is the representative in (-pi/4, pi/4].
+
+    When the fit finds the centers to be a sublattice, the cover is decided
+    on the tile modulo it, without placing any site: translates of a tile by
+    a sublattice cover the torus exactly when the centers are distinct mod
+    L, tile size times sublattice size is L^2, and no two offsets differ by
+    a sublattice element.  Otherwise the cover kernel runs first and names
+    the first overlap or gap, then the fit raises its own error.
     """
+    try:
+        if _tiles_by_its_centers(t):
+            return True, t.rescale, t.rotation
+    except TilingError:
+        pass  # the fit's error, raised below unless the cover fails first
     t.assignment  # building the cover names the first overlap or gap
     return True, t.rescale, t.rotation
 
 
+def _tiles_by_its_centers(t: Tiling) -> bool:
+    """True iff the tile's translates by the center sublattice (which the
+    fit confirms, raising TilingError if it cannot) cover the torus exactly."""
+    t._similarity
+    L, center_set, offsets = t.L, t._center_set, t.tile_shape
+    return (
+        len(center_set) == len(t.centers)
+        and len(offsets) * len(center_set) == L * L
+        and not any(
+            ((ax - bx) % L, (ay - by) % L) in center_set
+            for i, (ax, ay) in enumerate(offsets)
+            for bx, by in offsets[:i]
+        )
+    )
+
+
 def _is_similar_sublattice(
-    center_set: set[tuple[int, int]], a: int, b: int, L: int
+    center_set: Set[tuple[int, int]], a: int, b: int, L: int
 ) -> bool:
     """True iff center_set (holding the origin) is the subgroup of the L x L
     torus generated by (a, b) and (-b, a).
@@ -212,7 +248,8 @@ class ConcatenatedTiling:
     addresses: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]]
 
     def __post_init__(self):
-        object.__setattr__(self, "addresses", MappingProxyType(self.addresses))
+        if not isinstance(self.addresses, MappingProxyType):
+            object.__setattr__(self, "addresses", MappingProxyType(self.addresses))
 
     @property
     def top_tile_count(self) -> int:

@@ -240,6 +240,15 @@ class TestFrozen:
         assert Tiling(5, PLUS_OFFSETS, iter(centers[:-1])) == t
         assert hash(replace(t)) == hash(t)
 
+    def test_listed_tile_shape_makes_the_same_value(self):
+        t = plus_tiling(5, +1)
+        for shape in (list(PLUS_OFFSETS), [list(offset) for offset in PLUS_OFFSETS]):
+            listed = Tiling(5, shape, list(t.centers), "plus-right")
+            assert listed.tile_shape == PLUS_OFFSETS
+            assert listed == t
+            assert hash(listed) == hash(t)
+            assert validate_tiling(listed) == validate_tiling(t)
+
     def test_cover_and_fit_run_once_per_object(self, monkeypatch):
         calls = {"cover": 0, "closure": 0}
 
@@ -254,20 +263,29 @@ class TestFrozen:
             tiling, "_is_similar_sublattice", counting("closure", _is_similar_sublattice)
         )
         t = plus_tiling(25, +1)
-        # the base cover through t.assignment, then one cover of level 2
-        concatenate_tiling(t, 2)
-        assert calls["cover"] == 2
+        # validating a lattice tiling fits the centers and builds no cover
         first = validate_tiling(t)
         once = dict(calls)
-        assert once["cover"] == 2 and once["closure"] >= 1
+        assert once["cover"] == 0 and once["closure"] >= 1
         assert validate_tiling(t) == first
         assert (t.rescale, t.rotation) == first[1:]
-        assert len(t.assignment) == 625
-        render_svg(t)
         assert calls == once
-        # a variant is a new object with its own cover and fit
-        assert validate_tiling(replace(t, name="variant")) == first
-        assert calls["cover"] == 3
+        # drawing builds the cover once; concatenating reads it as level 1
+        # and adds one cover of level 2
+        render_svg(t)
+        render_svg(t)
+        assert calls["cover"] == 1
+        concatenate_tiling(t, 2)
+        assert calls["cover"] == 2
+        assert len(t.assignment) == 625
+        # a variant is a new object with its own fit and its own cover
+        variant = replace(t, name="variant")
+        assert validate_tiling(variant) == first
+        assert calls["cover"] == 2 and calls["closure"] > once["closure"]
+        fitted = calls["closure"]
+        concatenate_tiling(variant, 2)
+        render_svg(variant)
+        assert calls == {"cover": 4, "closure": fitted}
 
     @pytest.mark.parametrize("L", [5, 25, 250])
     @pytest.mark.parametrize("kind", BUILDERS)
@@ -316,6 +334,203 @@ def test_one_pass_cover_check_keeps_the_rebuild_messages(build, corrupt, message
     with pytest.raises(TilingError) as exc:
         validate_tiling(corrupt(t))
     assert str(exc.value) == message.format(last=t.centers[-1])
+
+
+def _cover_first(t: Tiling) -> tuple[bool, float, float]:
+    """Reference: the earlier validation, which built the cover first."""
+    t.assignment  # building the cover names the first overlap or gap
+    return True, t.rescale, t.rotation
+
+
+def _outcome(validate, t: Tiling):
+    """The return value of validate(t), or the message of its TilingError."""
+    try:
+        return validate(t)
+    except TilingError as exc:
+        return f"TilingError: {exc}"
+
+
+def _same_outcome(t: Tiling):
+    """validate_tiling(t), checked against the cover-first reference on a
+    fresh copy, so neither route reads the other's cached cover or fit."""
+    outcome = _outcome(validate_tiling, t)
+    assert outcome == _outcome(_cover_first, replace(t))
+    return outcome
+
+
+def _lattice_element(t: Tiling) -> tuple[int, int]:
+    """A nonzero element of the center sublattice: the first such center."""
+    return next(c for c in t.centers if c != (0, 0))
+
+
+def _with_offset(t: Tiling, index: int, offset) -> Tiling:
+    shape = list(t.tile_shape)
+    shape[index] = offset
+    return replace(t, tile_shape=shape)
+
+
+def _offset_moved_by_a_center(t: Tiling) -> Tiling:
+    # the same cosets of the center lattice: still an exact cover
+    (dx, dy), (ax, ay) = t.tile_shape[-1], _lattice_element(t)
+    return _with_offset(t, -1, (dx + ax, dy + ay))
+
+
+def _offset_onto_another_coset(t: Tiling) -> Tiling:
+    # two offsets in one coset: an overlap only the cover kernel can name
+    (dx, dy), (ax, ay) = t.tile_shape[0], _lattice_element(t)
+    return _with_offset(t, -1, (dx + ax, dy + ay))
+
+
+def _shifted_center(t: Tiling) -> Tiling:
+    x, y = t.centers[3]
+    return replace(t, centers=[*t.centers[:3], (x + 1, y), *t.centers[4:]])
+
+
+def _centers_off_the_origin(t: Tiling) -> Tiling:
+    return replace(t, centers=[((x + 1) % t.L, y) for x, y in t.centers])
+
+
+def _unreduced_centers(t: Tiling) -> Tiling:
+    L = t.L
+    return replace(t, centers=[(x + L, y - 2 * L) for x, y in t.centers])
+
+
+def _unreduced_first_center(t: Tiling) -> Tiling:
+    (x, y), *rest = t.centers
+    return replace(t, centers=[(x + t.L, y), *rest])
+
+
+def _unreduced_duplicate(t: Tiling) -> Tiling:
+    # distinct as pairs, equal mod L: an overlap of the same center set
+    x, y = t.centers[-1]
+    return replace(t, centers=[*t.centers, (x - t.L, y + t.L)])
+
+
+def _dropped_offset(t: Tiling) -> Tiling:
+    return replace(t, tile_shape=t.tile_shape[:-1])
+
+
+def _extra_offset(t: Tiling) -> Tiling:
+    return replace(t, tile_shape=[*t.tile_shape, (7, 3)])
+
+
+CORRUPTIONS = [
+    _dropped_center,
+    _duplicated_center,
+    _appended_center,
+    _shifted_center,
+    _centers_off_the_origin,
+    _unreduced_centers,
+    _unreduced_first_center,
+    _unreduced_duplicate,
+    _offset_moved_by_a_center,
+    _offset_onto_another_coset,
+    _dropped_offset,
+    _extra_offset,
+]
+
+
+class TestCoverOnTheQuotient:
+    """validate_tiling decides the cover of a lattice tiling from its tile
+    modulo the center lattice; the cover-first reference is the oracle."""
+
+    @pytest.mark.parametrize("L", [5, 25, 250, 625])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_builders_match_the_cover_first_route(self, kind, L):
+        t = BUILDERS[kind](L)
+        assert _outcome(_cover_first, replace(t)) == validate_tiling(t)
+
+    @pytest.mark.parametrize("L", [5, 25, 250])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_valid_builders_build_no_cover(self, kind, L, monkeypatch):
+        def refused(*args):
+            raise AssertionError("validate_tiling built a cover")
+
+        monkeypatch.setattr(tiling, "_build_assignment", refused)
+        t = BUILDERS[kind](L)
+        assert validate_tiling(t)[0]
+        assert "assignment" not in vars(t)
+
+    @pytest.mark.parametrize("L", [5, 25])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    def test_corruptions_match_the_cover_first_route(self, corrupt, kind, L):
+        t = BUILDERS[kind](L)
+        if corrupt is _offset_onto_another_coset and len(t.tile_shape) < 2:
+            pytest.skip("a one-site tile has no second coset")
+        _same_outcome(corrupt(t))
+
+    @pytest.mark.parametrize(
+        "t, outcome",
+        [
+            (_offset_moved_by_a_center(plus_tiling(25)), (True, SQRT5, ROT)),
+            (_offset_onto_another_coset(plus_tiling(25)), "TilingError: overlap at site (5, 0)"),
+            (_unreduced_duplicate(plus_tiling(25)), "TilingError: overlap at site (23, 24)"),
+            (_dropped_offset(brick_tiling(25)), "TilingError: gap at site (4, 0)"),
+            (_shifted_center(plus_tiling(25)), "TilingError: overlap at site (17, 0)"),
+            (_centers_off_the_origin(plus_tiling(5)),
+             "TilingError: center sublattice must contain the origin"),
+        ],
+        ids=["moved-offset", "coset-overlap", "unreduced-duplicate", "dropped-offset",
+             "shifted-center", "off-origin"],
+    )
+    def test_corruption_outcomes(self, t, outcome):
+        assert _same_outcome(t) == outcome
+
+    @pytest.mark.parametrize("L", [4, 10])
+    def test_domino_stripes_cover_but_are_not_similar(self, L):
+        t = Tiling(L, ((0, 0), (1, 0)), [(x, y) for x in range(0, L, 2) for y in range(L)])
+        assert _same_outcome(t) == (
+            "TilingError: centers do not form a similar (rotated-scaled) sublattice"
+        )
+
+    def test_single_site(self):
+        assert _same_outcome(trivial_tiling(1)) == "TilingError: no nonzero centers to fit"
+
+    def test_l_pentomino_overlaps_on_plus_centers(self):
+        t = Tiling(25, ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)), plus_tiling(25).centers)
+        assert _same_outcome(t) == "TilingError: overlap at site (5, 2)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        L=st.integers(1, 12),
+        a=st.integers(-12, 12),
+        b=st.integers(-12, 12),
+        shape=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=6),
+        extra=st.lists(st.tuples(st.integers(-13, 13), st.integers(-13, 13)), max_size=3),
+        unreduce=st.booleans(),
+    )
+    def test_random_tiles_on_similar_lattices(self, L, a, b, shape, extra, unreduce):
+        # the sublattice spanned by (a, b) and (-b, a), y-major, with sites
+        # added (possibly repeated mod L) and optionally shifted by L
+        lattice = _bfs_sublattice(a, b, L)
+        centers = sorted(lattice, key=lambda c: (c[1], c[0])) + extra
+        if unreduce:
+            centers = [(x + L, y - L) for x, y in centers]
+        _same_outcome(Tiling(L, shape, centers))
+
+    @pytest.mark.parametrize("L", [4, 5, 6, 10, 15])
+    @pytest.mark.parametrize(
+        "shape",
+        [PLUS_OFFSETS, BRICK_OFFSETS, ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0),),
+         ((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 0), (2, 0)), ((0, 0), (1, 0), (2, 0))],
+        ids=["plus", "brick", "domino-h", "domino-v", "monomino", "square", "gapped", "tromino"],
+    )
+    def test_small_tiles_on_every_lattice(self, L, shape):
+        # every sublattice spanned by (a, b) and (-b, a) on the L x L torus
+        lattices = {frozenset(_bfs_sublattice(a, b, L)) for a in range(L) for b in range(L)}
+        for lattice in lattices:
+            centers = sorted(lattice, key=lambda c: (c[1], c[0]))
+            _same_outcome(Tiling(L, shape, centers))
+
+
+@pytest.mark.parametrize("L", range(61))
+@pytest.mark.parametrize("row_offset", [0, 2, 3])
+@pytest.mark.parametrize("period", [1, 5])
+def test_centers_match_the_filtered_torus(L, row_offset, period):
+    assert tiling._centers(L, row_offset, period) == [
+        (x, y) for y in range(L) for x in range(L) if (x - row_offset * y) % period == 0
+    ]
 
 
 def _max_theta_over_similar(t: Tiling) -> tuple[bool, float, float]:
@@ -442,6 +657,13 @@ class TestConcatenation:
         with pytest.raises(TypeError):
             c.addresses[(0, 0)] = (0, (1, 1))
         assert len(c.addresses) == 625
+
+    def test_a_copy_keeps_one_read_only_view(self):
+        c = concatenate_tiling(plus_tiling(25, +1), 2)
+        copy = replace(c)
+        assert repr(copy.addresses) == repr(c.addresses)
+        assert repr(copy.addresses).startswith("mappingproxy({")
+        assert copy == c
 
     @pytest.mark.parametrize(
         "case", ADDRESS_DIGESTS, ids=lambda case: "-".join(map(str, case))
