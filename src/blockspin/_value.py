@@ -9,6 +9,12 @@ Importing `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, and
 each decorated class exec-compiles six methods: a start-up cost that every
 short CLI job would pay before its first result.  Instances keep their
 `__dict__`, so `cached_property` works on them.
+
+`hash` and `pickle` reach every field, as with `dataclasses`: a value that
+holds a read-only view (`StabilizerCode.recovery_table` and
+`ConcatenatedTiling.addresses`, both `MappingProxyType`, or the memoryviews
+of `LogicalActionTable`) still compares by value but raises on `hash()` and
+on `pickle.dumps`.
 """
 
 from operator import attrgetter

@@ -384,7 +384,8 @@ def memory_support(
     r* is the first concatenation level whose quality drops below epsilon;
     the supported volume is tile_size^r* * L^d.  Infinite on the identity
     basin.  Raises ChannelError unless 0 < epsilon < 1, L is finite and
-    positive and d >= 1; off both basins it raises as order_parameter does.
+    positive and d >= 1, or when tile_size^r* * L^d overflows a float; off
+    both basins it raises as order_parameter does.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
@@ -397,11 +398,16 @@ def memory_support(
         return MemorySupport(math.inf, None, traj.verdict)
     for r, _, q in traj.levels:
         if q < epsilon:
-            return MemorySupport(float(code.n**r * L**d), r, traj.verdict)
-    # the quality stalled at or above epsilon, so further levels would not
-    # drop below it either: report the last level of the flow
-    r_last = traj.levels[-1][0]
-    return MemorySupport(float(code.n**r_last * L**d), r_last, traj.verdict)
+            break
+    # r is the first level below epsilon, else the flow's last: the quality
+    # stalled at or above epsilon, and further levels would not drop below it
+    try:
+        size = float(code.n**r * L**d)
+    except OverflowError:
+        size = math.inf
+    if math.isinf(size):  # an infinite size would read as the identity basin
+        raise ChannelError(f"memory support {code.n}^{r} * {L}^{d} overflows a float")
+    return MemorySupport(size, r, traj.verdict)
 
 
 @frozen
@@ -418,13 +424,18 @@ def classify_error(
     Qubits are grouped into consecutive blocks of code.n per level; the
     logical class that the code's recovery leaves in each block becomes the
     single-qubit component at the next level.  Correctable iff the final
-    residual is logical identity.  Raises ChannelError unless levels >= 0.
+    residual is logical identity.  Raises ChannelError unless levels >= 0
+    and the error acts on n^levels qubits.
     """
     if code.k != 1:
         raise ChannelError("classification requires k=1")
     if not levels >= 0:
         raise ChannelError(f"levels must be >= 0, got {levels}")
     n = code.n
+    # too short: n^levels > 2^levels > error.n once levels passes its bit
+    # length, so a huge power is never formed
+    if n > 1 and (levels > error.n.bit_length() or n**levels > error.n):
+        raise ChannelError(f"error must act on {n}^{levels} qubits, got {error.n}")
     if error.n != n**levels:
         raise ChannelError(f"error must act on {n**levels} qubits")
     mask = (1 << n) - 1

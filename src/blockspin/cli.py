@@ -42,8 +42,8 @@ CODES = {
 }
 FAMILIES = {"depolarizing": "depolarizing", "bit-flip": "bit_flip"}
 TILINGS = {"plus": "plus_tiling", "brick": "brick_tiling", "trivial": "trivial_tiling"}
-# the builder argument of each --hand, for the kinds that have a handedness
-HANDS = {"plus": {"right": +1, "left": -1}, "brick": {"right": 2, "left": 3}}
+# the handedness argument of each --hand, for the kinds that have one
+HANDS = {"right": +1, "left": -1}
 # argparse reads a separate argument that starts with "-" as an option
 ERROR_HELP = "Pauli string, e.g. XXYZI; give a signed one as --error=-iXXYZI"
 
@@ -212,8 +212,8 @@ def cmd_classify(args):
 
 def cmd_tiling(args):
     build = getattr(tiling, TILINGS[args.kind])
-    if args.kind in HANDS:
-        t = build(args.L, HANDS[args.kind][args.hand])
+    if args.kind != "trivial":
+        t = build(args.L, HANDS[args.hand])
     elif args.hand == "left":
         raise tiling.TilingError(f"{args.kind} tiling has no handedness: --hand left")
     else:

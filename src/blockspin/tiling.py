@@ -1,14 +1,16 @@
 """Kadanoff blockings of the periodic square lattice by code tiles.
 
-The plus-pentomino and 5x1 brick tilings both block the torus into 5-site
-tiles whose centers form the Gaussian-integer sublattice (2+i)Z[i]; the
-blocking rescales the lattice by sqrt(5) and rotates it by +-arctan(1/2).
+A site (x, y) is the Gaussian integer x + yi, and a tiling's centers form
+the sublattice g Z[i] mod L of one Gaussian integer g.  The plus-pentomino
+and 5x1 brick tilings block the torus into 5-site tiles with g = 2 +- i;
+the blocking rescales the lattice by |g| = sqrt(5) and rotates it by
+arg g = +-arctan(1/2).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Set
+from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
 
@@ -25,12 +27,12 @@ SVG_CELL = 24  # pixels per lattice site
 
 # Time and memory grow as L^2.  In process (`cli.main` after import, Python
 # 3.11, 2 shared cores, median of 3), `tiling --L 250 / 500 / 625 / 1000`
-# takes 0.04 / 0.18 / 0.28 / 0.81 s (peak RSS 17 / 26 / 32 / 63 MB): it
-# validates from the centers and the tile, building no site cover.  At L =
-# 625 `--trivial` takes 1.2 s (105 MB), at L = 1000 3.2 s (260 MB).  The L^2
-# cover is built by `--svg` (L = 625: 1.7 s, 306 MB; L = 1000: 5.0 s,
-# 758 MB), by concatenation and on the fault path.  The cap admits L = 625 =
-# 5^4, which a 4-level concatenation needs, and keeps every run near 2 s and
+# takes 0.02 / 0.06 / 0.10 / 0.27 s (peak RSS 17 / 26 / 32 / 63 MB): it
+# fits g and validates from the centers and the tile, building no site
+# cover.  `--trivial` takes 0.63 s (105 MB) at L = 625 and 1.4 s (260 MB)
+# at L = 1000.  The L^2 cover is built by `--svg` (L = 625: 1.8 s, 306 MB),
+# by concatenation and on the fault path.  The cap admits L = 625 = 5^4,
+# which a 4-level concatenation needs, and keeps every run near 2 s and
 # 300 MB.
 TILING_L_CAP = 625
 
@@ -73,43 +75,63 @@ class Tiling:
         return frozenset((x % L, y % L) for x, y in self.centers)
 
     @cached_property
-    def _similarity(self) -> tuple[float, float]:
-        """(rescale, rotation) of a similar sublattice basis fitted to the
-        centers, with the rotation in (-pi/4, pi/4]; raises TilingError when
-        the centers miss the origin, hold no other site or are not similar."""
+    def _generator(self) -> tuple[int, int]:
+        """g = (a, b), a + bi = gcd(L, centers) in Z[i], taken as the
+        associate with angle in (-pi/4, pi/4]; raises TilingError when the
+        centers miss the origin, hold no other site or are not g Z[i] mod L."""
         L, center_set = self.L, self._center_set
         if (0, 0) not in center_set:
             raise TilingError("center sublattice must contain the origin")
-        # candidate basis vectors: minimal-norm nonzero centers in signed
-        # reps, coordinates in (-L/2, L/2], so of norm at most L^2 / 2
-        min_norm, candidates = L * L, []
-        for x, y in center_set:
-            v = (x - L if x > L // 2 else x, y - L if y > L // 2 else y)
-            norm = v[0] ** 2 + v[1] ** 2
-            if 0 < norm < min_norm:
-                min_norm, candidates = norm, [v]
-            elif norm == min_norm:
-                candidates.append(v)
-        if not candidates:
+        if len(center_set) == 1:
             raise TilingError("no nonzero centers to fit")
-        # the largest rotation in the window whose basis generates the
-        # centers; the window holds one of each four 90-degree rotations of a
-        # generator, so on a similar sublattice one check usually decides
-        by_theta = sorted(((math.atan2(b, a), a, b) for a, b in candidates), reverse=True)
-        for theta, a, b in by_theta:
-            if -math.pi / 4 < theta <= math.pi / 4 and _is_similar_sublattice(
-                center_set, a, b, L
-            ):
-                return math.sqrt(a * a + b * b), theta
-        raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
+        g = (L, 0)
+        for c in center_set:
+            if not _divides(g, c):
+                g = _gcd(c, g)
+        # every center is a multiple of g, and g Z[i] mod L has L^2 / N(g)
+        # sites, so the centers are all of them exactly when they number that
+        a, b = g
+        if len(center_set) * (a * a + b * b) != L * L:
+            raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
+        while not -a < b <= a:
+            a, b = -b, a  # times i
+        return a, b
 
     @property
     def rescale(self) -> float:
-        return self._similarity[0]
+        a, b = self._generator
+        return math.sqrt(a * a + b * b)
 
     @property
     def rotation(self) -> float:
-        return self._similarity[1]
+        a, b = self._generator
+        return math.atan2(b, a)
+
+
+def _mul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    """The Gaussian product z * w."""
+    (a, b), (c, d) = z, w
+    return a * c - b * d, a * d + b * c
+
+
+def _divides(g: tuple[int, int], z: tuple[int, int]) -> bool:
+    """True iff g | z in Z[i], that is z * conj(g) = 0 (mod N(g)); g != 0."""
+    (a, b), (x, y) = g, z
+    norm = a * a + b * b
+    return (x * a + y * b) % norm == 0 and (y * a - x * b) % norm == 0
+
+
+def _gcd(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    """A greatest common divisor of z and w in Z[i], up to a unit: Euclid
+    with the quotient z / w = z * conj(w) / N(w) rounded to the nearest
+    Gaussian integer, so each remainder has at most half the norm of w."""
+    while w != (0, 0):
+        a, b = w
+        norm = a * a + b * b
+        q = tuple((2 * c + norm) // (2 * norm) for c in _mul(z, (a, -b)))
+        qw = _mul(q, w)
+        z, w = w, (z[0] - qw[0], z[1] - qw[1])
+    return z
 
 
 def _build_assignment(
@@ -145,30 +167,28 @@ def _centers(L: int, row_offset: int, period: int = 5) -> list[tuple[int, int]]:
     return [(x, y) for y in range(L) for x in range(row_offset * y % period, L, period)]
 
 
-def plus_tiling(L: int, handedness: int = +1) -> Tiling:
-    """Plus-pentomino exact cover; centers x = 2y (mod 5), i.e. 2x+y = 0, for
-    right-handed, x = 3y, i.e. x+2y = 0, for left-handed.  Rescale sqrt(5),
-    rotation +-arctan(1/2)."""
+def _handed_centers(L: int, handedness: int, kind: str) -> list[tuple[int, int]]:
+    """The centers g Z[i] mod L with g = 2 + handedness*i: x = 2y (mod 5)
+    for right-handed (+1), x = 3y (mod 5) for left-handed (-1)."""
     if L % 5 != 0:
-        raise TilingError("plus tiling needs L = 0 mod 5")
+        raise TilingError(f"{kind} tiling needs L = 0 mod 5")
     if handedness not in (+1, -1):
         raise TilingError("handedness must be +1 or -1")
-    centers = _centers(L, 2 if handedness == +1 else 3)
+    return _centers(L, 2 if handedness == +1 else 3)
+
+
+def plus_tiling(L: int, handedness: int = +1) -> Tiling:
+    """Plus-pentomino exact cover on the centers of g = 2 + handedness*i.
+    Rescale sqrt(5), rotation +-arctan(1/2)."""
+    centers = _handed_centers(L, handedness, "plus")
     return Tiling(L, PLUS_OFFSETS, centers, "plus-right" if handedness == +1 else "plus-left")
 
 
-def brick_tiling(L: int, row_offset: int = 2) -> Tiling:
-    """Horizontal 5x1 bricks with origins x = row_offset*y (mod 5).
-
-    row_offset 2 reproduces the right-handed plus center sublattice and is
-    named "brick"; row_offset 3 gives the mirror, named "brick-left".
-    """
-    if L % 5 != 0:
-        raise TilingError("brick tiling needs L = 0 mod 5")
-    if row_offset not in (2, 3):
-        raise TilingError("row_offset must be 2 or 3")
-    name = "brick" if row_offset == 2 else "brick-left"
-    return Tiling(L, BRICK_OFFSETS, _centers(L, row_offset), name)
+def brick_tiling(L: int, handedness: int = +1) -> Tiling:
+    """Horizontal 5x1 bricks on the same centers as the plus tiling of that
+    handedness, named "brick" (+1) or "brick-left" (-1)."""
+    centers = _handed_centers(L, handedness, "brick")
+    return Tiling(L, BRICK_OFFSETS, centers, "brick" if handedness == +1 else "brick-left")
 
 
 def trivial_tiling(L: int) -> Tiling:
@@ -177,18 +197,18 @@ def trivial_tiling(L: int) -> Tiling:
 
 
 def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
-    """Verify exact cover and fit a similar sublattice basis to the centers.
+    """Verify the exact cover and fit the centers' Gaussian integer g.
 
-    Returns (True, rescale, rotation) on success; raises TilingError with a
-    distinct message for overlap/gap/non-similar failures.  The reported
-    rotation is the representative in (-pi/4, pi/4].
+    Returns (True, rescale, rotation) = (True, |g|, arg g) on success, with
+    the rotation in (-pi/4, pi/4]; raises TilingError with a distinct
+    message for overlap/gap/non-similar failures.
 
-    When the fit finds the centers to be a sublattice, the cover is decided
-    on the tile modulo it, without placing any site: translates of a tile by
-    a sublattice cover the torus exactly when the centers are distinct mod
-    L, tile size times sublattice size is L^2, and no two offsets differ by
-    a sublattice element.  Otherwise the cover kernel runs first and names
-    the first overlap or gap, then the fit raises its own error.
+    When the fit finds the centers to be g Z[i] mod L, the cover is decided
+    on the tile modulo it, without placing any site: the translates of a
+    tile by g Z[i] cover the torus exactly when the centers are distinct mod
+    L, the tile has N(g) sites and g divides no difference of two offsets.
+    Otherwise the cover kernel runs first and names the first overlap or
+    gap, then the fit raises its own error.
     """
     try:
         if _tiles_by_its_centers(t):
@@ -200,40 +220,17 @@ def validate_tiling(t: Tiling) -> tuple[bool, float, float]:
 
 
 def _tiles_by_its_centers(t: Tiling) -> bool:
-    """True iff the tile's translates by the center sublattice (which the
-    fit confirms, raising TilingError if it cannot) cover the torus exactly."""
-    t._similarity
-    L, center_set, offsets = t.L, t._center_set, t.tile_shape
+    """True iff the tile's translates by g Z[i] (the centers, as the fit
+    confirms, raising TilingError if it cannot) cover the torus exactly."""
+    g, offsets = t._generator, t.tile_shape
     return (
-        len(center_set) == len(t.centers)
-        and len(offsets) * len(center_set) == L * L
+        len(t._center_set) == len(t.centers)
+        and len(offsets) == g[0] ** 2 + g[1] ** 2
         and not any(
-            ((ax - bx) % L, (ay - by) % L) in center_set
+            _divides(g, (ax - bx, ay - by))
             for i, (ax, ay) in enumerate(offsets)
             for bx, by in offsets[:i]
         )
-    )
-
-
-def _is_similar_sublattice(
-    center_set: Set[tuple[int, int]], a: int, b: int, L: int
-) -> bool:
-    """True iff center_set (holding the origin) is the subgroup of the L x L
-    torus generated by (a, b) and (-b, a).
-
-    A finite set holding 0 and closed under adding each generator contains
-    the subgroup and is a union of its cosets, so it is the subgroup exactly
-    when the sizes agree.  The subgroup is the image of the lattice spanned by
-    (a, b), (-b, a), (L, 0), (0, L), whose index in Z^2 is the gcd of the 2x2
-    minors of those four rows.
-    """
-    index = math.gcd(a * a + b * b, a * L, b * L, L * L)
-    if len(center_set) * index != L * L:
-        return False
-    return all(
-        ((x + a) % L, (y + b) % L) in center_set
-        and ((x - b) % L, (y + a) % L) in center_set
-        for x, y in center_set
     )
 
 
@@ -259,36 +256,31 @@ class ConcatenatedTiling:
 def concatenate_tiling(t: Tiling, levels: int) -> ConcatenatedTiling:
     """Iterate the blocking on successive center lattices.
 
-    Supported for the sqrt(5) tilings (plus/brick): the level-j centers form
-    (2+i)^j Z[i] on the torus, and the level-(j+1) tile offsets are the base
-    offsets scaled by (2+i)^j.  Requires 5^levels | L: the level-j centers
-    are new only when (2+i)^j divides L in Z[i], that is when 5^j | L.
+    Supported for the sqrt(5) tilings (plus/brick), whose centers are
+    g Z[i] mod L with g = 2 +- i: the level-j centers are the multiples of
+    g^j, and the level-j tile offsets are the base offsets times g^(j-1).
+    Requires 5^levels | L: the level-j centers are new only when g^j divides
+    L in Z[i], that is when 5^j | L.
     """
     if levels < 1:
         raise TilingError("levels must be >= 1")
     if len(t.tile_shape) != 5:
         raise TilingError("concatenation implemented for 5-site tilings")
     L = t.L
-    if L % (5**levels) != 0:
+    # 5^levels > L once levels reaches L's bit length: refused unformed
+    if levels >= L.bit_length() or L % 5**levels != 0:
         raise TilingError(f"extent {L} not divisible by 5^{levels}")
-    # Gaussian-integer scale per level: 2+i for right-handed, 2-i for left
-    wr, wi = (2, 1) if t.rotation >= 0 else (2, -1)
+    g = t._generator
     # per level j: the cover of the level-(j-1) centers and the level-j
     # centers it numbers its tiles by; level 1 is the base cover of all sites
     centers = [(x % L, y % L) for x, y in t.centers]
     covers = [(t.assignment, centers)]
-    re, im = 1, 0  # omega^(j-1)
-    for j in range(2, levels + 1):
-        re, im = re * wr - im * wi, re * wi + im * wr
-        offsets = [(dx * re - dy * im, dx * im + dy * re) for dx, dy in t.tile_shape]
-        # 5^j | L, so c lies in omega^j Z[i] (mod L) iff c * conj(omega^j),
-        # which is 5^j times the quotient, has both components = 0 mod 5^j
-        jr, ji, norm = re * wr - im * wi, re * wi + im * wr, 5**j
-        sites, centers = centers, [
-            (x, y)
-            for x, y in centers
-            if (x * jr + y * ji) % norm == 0 and (y * jr - x * ji) % norm == 0
-        ]
+    power = g  # g^(j-1) at level j
+    for _ in range(1, levels):
+        offsets = [_mul(power, d) for d in t.tile_shape]
+        power = _mul(power, g)
+        # g^j divides L, so a center lies in g^j Z[i] (mod L) iff g^j | it
+        sites, centers = centers, [c for c in centers if _divides(power, c)]
         covers.append((_build_assignment(L, offsets, centers, sites), centers))
 
     # top level down: a site's path is its tile position, then its center's path
@@ -330,9 +322,8 @@ def render_svg(t: Tiling) -> str:
             f'<circle cx="{px}" cy="{py}" r="{cell // 4}" fill="none" '
             f'stroke="#000" stroke-width="2"/>'
         )
-    # rescaled lattice overlay: lines through centers along the fitted basis
-    a = t.rescale * math.cos(t.rotation)
-    b = t.rescale * math.sin(t.rotation)
+    # rescaled lattice overlay: lines through centers along g = a + bi
+    a, b = t._generator
     for cx, cy in t.centers:
         x0, y0 = cx * cell + cell // 2, (L - 1 - cy) * cell + cell // 2
         x1, y1 = x0 + a * cell, y0 - b * cell

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,39 @@ class TestExitCodes:
         argv = ["classify", "--levels", "-1", "--error", "X", "--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: levels must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["2", "2000", "1000000", "10000000"])
+    def test_short_error_refused_without_the_power(self, levels, tmp_path, capsys):
+        out = tmp_path / "classify.json"
+        argv = ["classify", "--levels", levels, "--error", "X", "--out", str(out)]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: error must act on 5^{levels} qubits, got 1\n"
+        assert not out.exists()
+
+    def test_long_error_names_the_qubit_count(self, tmp_path, capsys):
+        out = tmp_path / "classify.json"
+        argv = ["classify", "--levels", "2", "--error", "X" * 30, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: error must act on 25 qubits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--lattice-L", "1e308"], "5^6 * 1e+308^1"),
+         (["--lattice-L", "2", "--dimension", "2000"], "5^6 * 2.0^2000")],
+        ids=["size-overflows", "power-overflows"],
+    )
+    def test_memory_support_overflow_refused(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "ms.json"
+        argv = ["memory-support", "--depolarizing", "0.14", "--epsilon", "0.01", *flags,
+                "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: memory support {message} overflows a float\n"
+        )
         assert not out.exists()
 
     def test_success_exit_zero(self, tmp_path, capsys):

@@ -14,7 +14,9 @@ from blockspin.tiling import (
     Tiling,
     TilingError,
     _build_assignment,
-    _is_similar_sublattice,
+    _divides,
+    _gcd,
+    _mul,
     brick_tiling,
     concatenate_tiling,
     plus_tiling,
@@ -69,6 +71,18 @@ class TestBrickTiling:
         t = brick_tiling(15)
         assert t.tile_count == 45
         assert validate_tiling(t)[0]
+
+    @pytest.mark.parametrize("hand, name", [(+1, "brick"), (-1, "brick-left")])
+    def test_handedness_picks_the_plus_centers(self, hand, name):
+        b, p = brick_tiling(25, hand), plus_tiling(25, hand)
+        assert b.name == name and b.centers == p.centers
+        assert b._generator == p._generator == (2, hand)
+
+    @pytest.mark.parametrize("build", [plus_tiling, brick_tiling], ids=["plus", "brick"])
+    @pytest.mark.parametrize("hand", [0, 2, 3])
+    def test_handedness_other_than_one_refused(self, build, hand):
+        with pytest.raises(TilingError, match=r"handedness must be \+1 or -1"):
+            build(5, hand)
 
 
 class TestTrivialTiling:
@@ -125,6 +139,67 @@ def _bfs_sublattice(a: int, b: int, L: int) -> set[tuple[int, int]]:
     return out
 
 
+def _is_similar_sublattice(center_set, a: int, b: int, L: int) -> bool:
+    """Reference: True iff center_set (holding the origin) is the subgroup of
+    the L x L torus generated by (a, b) and (-b, a).
+
+    A finite set holding 0 and closed under adding each generator contains
+    the subgroup and is a union of its cosets, so it is the subgroup exactly
+    when the sizes agree.  The subgroup is the image of the lattice spanned by
+    (a, b), (-b, a), (L, 0), (0, L), whose index in Z^2 is the gcd of the 2x2
+    minors of those four rows.
+    """
+    index = math.gcd(a * a + b * b, a * L, b * L, L * L)
+    if len(center_set) * index != L * L:
+        return False
+    return all(
+        ((x + a) % L, (y + b) % L) in center_set
+        and ((x - b) % L, (y + a) % L) in center_set
+        for x, y in center_set
+    )
+
+
+def _closure_fit(t: Tiling) -> tuple[float, float]:
+    """Reference: the earlier fit.  It scans the minimal-norm nonzero centers
+    (coordinates in (-L/2, L/2]) by decreasing angle and returns the rescale
+    and rotation of the first one in (-pi/4, pi/4] whose closure check
+    passes."""
+    L = t.L
+    center_set = {(x % L, y % L) for x, y in t.centers}
+    if (0, 0) not in center_set:
+        raise TilingError("center sublattice must contain the origin")
+    min_norm, candidates = L * L, []
+    for x, y in center_set:
+        v = (x - L if x > L // 2 else x, y - L if y > L // 2 else y)
+        norm = v[0] ** 2 + v[1] ** 2
+        if 0 < norm < min_norm:
+            min_norm, candidates = norm, [v]
+        elif norm == min_norm:
+            candidates.append(v)
+    if not candidates:
+        raise TilingError("no nonzero centers to fit")
+    by_theta = sorted(((math.atan2(b, a), a, b) for a, b in candidates), reverse=True)
+    for theta, a, b in by_theta:
+        if -math.pi / 4 < theta <= math.pi / 4 and _is_similar_sublattice(
+            center_set, a, b, L
+        ):
+            return math.sqrt(a * a + b * b), theta
+    raise TilingError("centers do not form a similar (rotated-scaled) sublattice")
+
+
+def _gaussian_fit(t: Tiling) -> tuple[float, float]:
+    return t.rescale, t.rotation
+
+
+def _same_fit(centers, L: int):
+    """The Gaussian fit of the centers, checked against the closure fit on a
+    second tiling, so neither reads the other's cache."""
+    t = Tiling(L, ((0, 0),), centers)
+    outcome = _outcome(_gaussian_fit, t)
+    assert outcome == _outcome(_closure_fit, Tiling(L, ((0, 0),), centers))
+    return outcome
+
+
 class TestSublatticeTest:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -174,6 +249,101 @@ class TestSublatticeTest:
         assert _is_similar_sublattice(centers, 3, 4, L) == (L % 25 != 0)
 
 
+class TestGaussianFit:
+    """The fit takes g = gcd(L, centers) in Z[i]; the closure fit is the
+    oracle for its rescale, rotation and error messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        L=st.integers(1, 12),
+        gens=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3),
+        extra=st.lists(st.tuples(st.integers(-13, 13), st.integers(-13, 13)), max_size=6),
+        kind=st.sampled_from(["subgroup", "perturbed", "cosets", "cyclic"]),
+        unreduce=st.booleans(),
+    )
+    def test_drawn_sets_match_the_closure_fit(self, L, gens, extra, kind, unreduce):
+        # subgroups generated by (g, rot90 g) pairs, those sets with sites
+        # added or removed, unions of their cosets, or the cyclic group of
+        # one site; optionally shifted off the reduced coordinates
+        centers = {(0, 0)}
+        if kind == "cyclic":
+            a, b = gens[0] if gens else (1, 0)
+            centers = {((k * a) % L, (k * b) % L) for k in range(L)}
+        for gx, gy in gens if kind != "cyclic" else ():
+            centers |= {
+                ((cx + sx) % L, (cy + sy) % L)
+                for cx, cy in centers
+                for sx, sy in _bfs_sublattice(gx, gy, L)
+            }
+        if kind == "perturbed":
+            centers ^= {(x % L, y % L) for x, y in extra} - {(0, 0)}
+        elif kind == "cosets":
+            centers |= {((x + cx) % L, (y + cy) % L) for x, y in extra for cx, cy in centers}
+        ordered = sorted(centers, key=lambda c: (c[1], c[0]))
+        if unreduce:
+            ordered = [(x - L, y + 2 * L) for x, y in ordered]
+        _same_fit(ordered, L)
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_every_sublattice_with_a_site_added_or_removed(self, L):
+        lattices = {frozenset(_bfs_sublattice(a, b, L)) for a in range(L) for b in range(L)}
+        torus = {(x, y) for x in range(L) for y in range(L)}
+        outcomes = set()
+        for lattice in lattices:
+            outcomes.add(_same_fit(sorted(lattice), L))
+            for site in sorted(torus - lattice):
+                outcomes.add(_same_fit(sorted(lattice | {site}), L))
+                coset = {((x + site[0]) % L, (y + site[1]) % L) for x, y in lattice}
+                outcomes.add(_same_fit(sorted(lattice | coset), L))
+            for site in sorted(lattice - {(0, 0)}):
+                outcomes.add(_same_fit(sorted(lattice - {site}), L))
+        # every sublattice fits, except {0} (L = 1 has no other)
+        fits = {o for o in outcomes if not isinstance(o, str)}
+        assert len(fits) == len(lattices) - 1
+
+    @pytest.mark.parametrize("L", [5, 25, 250])
+    @pytest.mark.parametrize("kind", ["plus-right", "plus-left", "brick", "brick-3", "trivial"])
+    def test_generator_of_the_builders(self, kind, L):
+        g = {"plus-right": (2, 1), "plus-left": (2, -1), "brick": (2, 1), "brick-3": (2, -1),
+             "trivial": (1, 0)}[kind]
+        t = BUILDERS[kind](L)
+        assert t._generator == g
+        assert all(_divides(g, c) for c in t.centers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+        w=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    )
+    def test_gcd_is_the_largest_common_divisor(self, z, w):
+        g = _gcd(z, w)
+        if z == w == (0, 0):
+            assert g == (0, 0)
+            return
+        assert _divides(g, z) and _divides(g, w)
+        common = [
+            (a, b) for a in range(-30, 31) for b in range(-30, 31)
+            if (a, b) != (0, 0) and _divides((a, b), z) and _divides((a, b), w)
+        ]
+        assert g[0] ** 2 + g[1] ** 2 == max(a * a + b * b for a, b in common)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda g: g != (0, 0)),
+        q=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+        r=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    )
+    def test_mul_and_divides_match_complex_arithmetic(self, g, q, r):
+        assert complex(*_mul(g, q)) == complex(*g) * complex(*q)
+        z = _mul(g, q)
+        assert _divides(g, z)
+        # z + r is a multiple of g iff r is
+        shifted = (z[0] + r[0], z[1] + r[1])
+        assert _divides(g, shifted) == any(
+            _mul(g, (a, b)) == r for a in range(-20, 21) for b in range(-20, 21)
+        )
+
+
 class TestValidator:
     def test_names_missing_and_doubled_site(self):
         t = plus_tiling(5, +1)
@@ -216,7 +386,7 @@ BUILDERS = {
     "plus-right": lambda L: plus_tiling(L, +1),
     "plus-left": lambda L: plus_tiling(L, -1),
     "brick": brick_tiling,
-    "brick-3": lambda L: brick_tiling(L, row_offset=3),
+    "brick-3": lambda L: brick_tiling(L, -1),
     "trivial": trivial_tiling,
 }
 
@@ -250,7 +420,7 @@ class TestFrozen:
             assert validate_tiling(listed) == validate_tiling(t)
 
     def test_cover_and_fit_run_once_per_object(self, monkeypatch):
-        calls = {"cover": 0, "closure": 0}
+        calls = {"cover": 0, "gcd": 0}
 
         def counting(key, fn):
             def wrapped(*args):
@@ -259,14 +429,12 @@ class TestFrozen:
             return wrapped
 
         monkeypatch.setattr(tiling, "_build_assignment", counting("cover", _build_assignment))
-        monkeypatch.setattr(
-            tiling, "_is_similar_sublattice", counting("closure", _is_similar_sublattice)
-        )
+        monkeypatch.setattr(tiling, "_gcd", counting("gcd", _gcd))
         t = plus_tiling(25, +1)
         # validating a lattice tiling fits the centers and builds no cover
         first = validate_tiling(t)
         once = dict(calls)
-        assert once["cover"] == 0 and once["closure"] >= 1
+        assert once["cover"] == 0 and once["gcd"] >= 1
         assert validate_tiling(t) == first
         assert (t.rescale, t.rotation) == first[1:]
         assert calls == once
@@ -281,11 +449,11 @@ class TestFrozen:
         # a variant is a new object with its own fit and its own cover
         variant = replace(t, name="variant")
         assert validate_tiling(variant) == first
-        assert calls["cover"] == 2 and calls["closure"] > once["closure"]
-        fitted = calls["closure"]
+        assert calls["cover"] == 2 and calls["gcd"] > once["gcd"]
+        fitted = calls["gcd"]
         concatenate_tiling(variant, 2)
         render_svg(variant)
-        assert calls == {"cover": 4, "closure": fitted}
+        assert calls == {"cover": 4, "gcd": fitted}
 
     @pytest.mark.parametrize("L", [5, 25, 250])
     @pytest.mark.parametrize("kind", BUILDERS)
@@ -649,6 +817,16 @@ class TestConcatenation:
                 concatenate_tiling(plus_tiling(L, +1), levels)
         c = concatenate_tiling(plus_tiling(50), 2)
         assert (c.top_tile_count, len(c.addresses)) == (100, 2500)
+
+    def test_huge_level_count_refused_without_the_power(self):
+        class Levels(int):
+            def __rpow__(self, base):
+                raise AssertionError(f"formed {base}**{int(self)}")
+
+        for levels in (Levels(10**7), 3 * 10**7):
+            with pytest.raises(TilingError) as exc:
+                concatenate_tiling(plus_tiling(25), levels)
+            assert str(exc.value) == f"extent 25 not divisible by 5^{int(levels)}"
 
     def test_frozen_with_read_only_addresses(self):
         c = concatenate_tiling(plus_tiling(25, +1), 2)
