@@ -12,9 +12,8 @@ short CLI job would pay before its first result.  Instances keep their
 
 `hash` and `pickle` reach every field, as with `dataclasses`: a value that
 holds a read-only view (`StabilizerCode.recovery_table` and
-`ConcatenatedTiling.addresses`, both `MappingProxyType`, or the memoryviews
-of `LogicalActionTable`) still compares by value but raises on `hash()` and
-on `pickle.dumps`.
+`ConcatenatedTiling.addresses`, both `MappingProxyType`) still compares by
+value but raises on `hash()` and on `pickle.dumps`.
 """
 
 from operator import attrgetter

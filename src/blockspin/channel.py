@@ -13,11 +13,9 @@ memory-support correlation functional.
 from __future__ import annotations
 
 import math
-from array import array
-from collections import Counter
+import sys
 from functools import cached_property
 from operator import mul
-from types import MappingProxyType
 
 from ._numpy import np
 from ._value import frozen
@@ -96,31 +94,53 @@ class PauliChannel:
 SYNDROME_SHIFT = 13  # a word's syndrome bits, above key << 2 | class; key < 2^11
 
 
+def _letter_signatures(code: StabilizerCode) -> tuple[tuple[int, int, int, int], ...]:
+    """Per qubit q, the signatures of I, X, Y and Z on q alone: syndrome <<
+    SYNDROME_SHIFT | raw class index (`_logical_class_index`).  Both parts
+    are linear over GF(2), so an error's signature is the XOR of its
+    letters'."""
+    n = code.n
+    out = []
+    for q in range(n):
+        bit = 1 << (n - 1 - q)
+        letters = (Pauli(n, x * bit, z * bit) for x, z in ((0, 0), (1, 0), (1, 1), (0, 1)))
+        out.append(tuple(code.syndrome(p) << SYNDROME_SHIFT | _logical_class_index(code, p)
+                         for p in letters))
+    return tuple(out)
+
+
 @frozen
 class LogicalActionTable:
     """Logical action of lookup recovery for one code (cached on the code
     as `StabilizerCode.action_table`).
 
-    words[e] = syndrome << SYNDROME_SHIFT | key << 2 | raw class index
-    (`_logical_class_index`) of error index e (base-4 digits 0=I,1=X,2=Y,3=Z,
-    first qubit most significant), key = (#X * b + #Y) * b + #Z, b = n + 1;
-    enumerator (W) counts the errors per word.  This signature table is
+    An error's word is syndrome << SYNDROME_SHIFT | key << 2 | raw class
+    index (`_logical_class_index`), key = (#X * b + #Y) * b + #Z, b = n + 1.
+    enumerator is W, the syndrome-resolved weight enumerator: (word, error
+    count) pairs in word order, folded in qubit by qubit (the trellis), each
+    step taking a word w to (w ^ sig) + key for each letter on the next
+    qubit, so the 4^n errors are never listed.  This signature table is
     read-only and has no decoder: recovery_table[s] shifts a class by its
-    class index shifts[s], so cls[e] = c ^ shifts[s], and coeff[c][m] counts
-    the errors of composition exps[m] = (#I, #X, #Y, #Z) left in class c.
+    class index shifts[s], and coeff[c][m] counts the errors of composition
+    exps[m] = (#I, #X, #Y, #Z) left in class c.
     """
 
-    words: memoryview
-    enumerator: MappingProxyType
+    enumerator: tuple[tuple[int, int], ...]
     shifts: bytes
     coeff: tuple[tuple[int, ...], ...]
     exps: tuple[tuple[int, int, int, int], ...]
 
     @cached_property
     def cls(self) -> np.ndarray:
-        words = np.asarray(self.words)
-        shifts = np.frombuffer(self.shifts, np.uint8)[words >> SYNDROME_SHIFT]
-        out = (shifts ^ words & 3).astype(np.uint8)
+        """Residual class of each error index e (base-4 digits 0=I,1=X,2=Y,3=Z,
+        first qubit most significant): a read-only uint8 array of 4^n, from
+        the letter signatures its build kept; not part of the value.  Only
+        the tests and perfbench's `channel.table_entries` counter read it."""
+        sig = np.zeros(1, dtype=np.int64)
+        for letters in self._letters:
+            sig = (sig[:, None] ^ np.array(letters, dtype=np.int64)).ravel()
+        shifts = np.frombuffer(self.shifts, np.uint8)[sig >> SYNDROME_SHIFT]
+        out = (shifts ^ sig & 3).astype(np.uint8)
         out.flags.writeable = False
         return out
 
@@ -131,24 +151,27 @@ class LogicalActionTable:
 
     @classmethod
     def build(cls, code: StabilizerCode) -> "LogicalActionTable":
-        """Tabulate all 4^n words as a product over qubits: a signature is a
-        sum over qubits mod 2, the XOR of its letters', and a key their sum."""
+        """Fold the qubits into W one at a time, then read each class's
+        count per composition off W's nonzero entries."""
         if code.k != 1:
             raise ChannelError("effective channel requires k=1")
+        # the fold's dict, W, has up to 2^(n-1) * 4 * C(n+3, 3) keys (syndromes,
+        # classes, compositions): 585,728 at n = 10, each a Python int
         if code.n > 10:
             raise ChannelError("exact enumeration limited to n <= 10")
         n, r, b = code.n, code.n - code.k, code.n + 1
         if len(code.recovery_table) != 2**r:
             raise ChannelError("incomplete recovery table")
-        words = [0]
-        for q in range(n):
-            bit = 1 << (n - 1 - q)
-            letters = [(Pauli(n, x * bit, z * bit), key << 2)
-                       for x, z, key in ((0, 0, 0), (1, 0, b * b), (1, 1, b), (0, 1, 1))]
-            sigs = [(code.syndrome(p) << SYNDROME_SHIFT | _logical_class_index(code, p), k)
-                    for p, k in letters]
-            words = [(w ^ s) + k for w in words for s, k in sigs]
-        enumerator = Counter(words)
+        letters = _letter_signatures(code)
+        keys = (0, b * b << 2, b << 2, 1 << 2)  # I, X, Y, Z
+        enumerator = {0: 1}
+        for sigs in letters:
+            step: dict[int, int] = {}
+            for s, k in zip(sigs, keys):
+                for w, cnt in enumerator.items():
+                    v = (w ^ s) + k
+                    step[v] = step.get(v, 0) + cnt
+            enumerator = step
         shifts = bytes(_logical_class_index(code, code.recovery_table[s])
                        for s in range(2**r))
         exps = tuple(
@@ -159,8 +182,9 @@ class LogicalActionTable:
         cols = {((x * b + y) * b + z) << 2: [0, 0, 0, 0] for _, x, y, z in exps}
         for w, cnt in enumerator.items():  # one pass over W's nonzero entries
             cols[w & (1 << SYNDROME_SHIFT) - 4][w & 3 ^ shifts[w >> SYNDROME_SHIFT]] += cnt
-        return cls(memoryview(array("I", words)).toreadonly(), MappingProxyType(enumerator),
-                   shifts, tuple(zip(*cols.values())), exps)
+        table = cls(tuple(sorted(enumerator.items())), shifts, tuple(zip(*cols.values())), exps)
+        table.__dict__["_letters"] = letters  # what cls reads; not a field
+        return table
 
 
 def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:
@@ -182,13 +206,20 @@ def effective_channel(code: StabilizerCode, ch: PauliChannel) -> PauliChannel:
 def sample_effective_channel(
     code: StabilizerCode, ch: PauliChannel, n_samples: int, seed: int = 0
 ) -> np.ndarray:
-    """Monte Carlo estimate of the logical class distribution (cross-check)."""
-    table = code.action_table
+    """Monte Carlo estimate of the logical class distribution (cross-check).
+
+    Each draw's syndrome and raw class are the XOR of its letters'
+    signatures, so the estimate reads only the table's recovery shifts, not
+    its enumerator.  Raises ChannelError unless n_samples >= 1.
+    """
+    if n_samples < 1:
+        raise ChannelError(f"n_samples must be >= 1, got {n_samples}")
+    shifts = np.frombuffer(code.action_table.shifts, np.uint8)
     rng = np.random.default_rng(seed)
     draws = rng.choice(4, size=(n_samples, code.n), p=ch.as_array())
-    pow4 = 4 ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-    codes_idx = draws.astype(np.int64) @ pow4
-    counts = np.bincount(table.cls[codes_idx], minlength=4)
+    letters = np.array(_letter_signatures(code), dtype=np.int64)
+    sig = np.bitwise_xor.reduce(letters[np.arange(code.n), draws], axis=1)
+    counts = np.bincount(shifts[sig >> SYNDROME_SHIFT] ^ sig & 3, minlength=4)
     return counts / n_samples
 
 
@@ -384,8 +415,9 @@ def memory_support(
     r* is the first concatenation level whose quality drops below epsilon;
     the supported volume is tile_size^r* * L^d.  Infinite on the identity
     basin.  Raises ChannelError unless 0 < epsilon < 1, L is finite and
-    positive and d >= 1, or when tile_size^r* * L^d overflows a float; off
-    both basins it raises as order_parameter does.
+    positive and d >= 1, or when tile_size^r* * L^d overflows a float or
+    falls below the smallest normal float; off both basins it raises as
+    order_parameter does.
     """
     if not 0.0 < epsilon < 1.0:
         raise ChannelError("epsilon must lie in (0, 1)")
@@ -407,6 +439,8 @@ def memory_support(
         size = math.inf
     if math.isinf(size):  # an infinite size would read as the identity basin
         raise ChannelError(f"memory support {code.n}^{r} * {L}^{d} overflows a float")
+    if size < sys.float_info.min:  # zero or subnormal: a positive size read as none
+        raise ChannelError(f"memory support {code.n}^{r} * {L}^{d} underflows a float")
     return MemorySupport(size, r, traj.verdict)
 
 

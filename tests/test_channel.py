@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -29,7 +30,13 @@ from blockspin.channel import (
     sample_effective_channel,
     threshold,
 )
-from blockspin.codes import _logical_class_index, five_qubit_code, shor_code, steane_code
+from blockspin.codes import (
+    _logical_class_index,
+    _small_code,
+    five_qubit_code,
+    shor_code,
+    steane_code,
+)
 from blockspin.pauli import Pauli, multiply, random_pauli
 
 CODE = five_qubit_code()
@@ -96,6 +103,55 @@ def _brute_force_map(name, p):
     _, table, digits = _oracle_setup(name)
     weights = p[digits].prod(axis=1)
     return np.array([math.fsum(weights[table.cls == c]) for c in range(4)])
+
+
+def _word_list(code):
+    """Every error's word in base-4 index order, listed as a product over
+    qubits: the 4^n route the table took before the fold, kept as its oracle."""
+    n, b = code.n, code.n + 1
+    words = [0]
+    for q in range(n):
+        letters = []
+        for letter, key in zip("IXYZ", (0, b * b, b, 1)):
+            p = Pauli.from_string("I" * q + letter + "I" * (n - 1 - q))
+            sig = code.syndrome(p) << channel.SYNDROME_SHIFT | _logical_class_index(code, p)
+            letters.append((sig, key << 2))
+        words = [(w ^ s) + k for w in words for s, k in letters]
+    return words
+
+
+def _other_logical_x():
+    """Five-qubit with Xbar times a check as its logical X."""
+    code = five_qubit_code()
+    return replace(code, logical_x=(multiply(code.logical_x[0], code.stabilizer.generators[0]),))
+
+
+def _recovery_variant():
+    """Five-qubit whose recovery of syndrome 0b0001 also applies Xbar."""
+    code = five_qubit_code()
+    table = dict(code.recovery_table)
+    table[0b0001] = multiply(code.logical_x[0], table[0b0001])
+    return replace(code, recovery_table=table)
+
+
+# every code the fold is checked on against the 4^n word count
+ORACLE_CODES = {
+    **BUILDERS,
+    "repetition-zz": lambda: _small_code(("ZZI", "IZZ")),
+    "repetition-xx": lambda: _small_code(("XXI", "IXX")),
+    "five-qubit-other-x": _other_logical_x,
+    "five-qubit-recovery-variant": _recovery_variant,
+}
+
+
+def _sample_by_index(code, ch, n_samples, seed):
+    """The sampler's former route, kept as its oracle: the same draws, read
+    as base-4 error indices into the table's cls."""
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(4, size=(n_samples, code.n), p=ch.as_array())
+    pow4 = 4 ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    counts = np.bincount(code.action_table.cls[draws.astype(np.int64) @ pow4], minlength=4)
+    return counts / n_samples
 
 
 @st.composite
@@ -185,16 +241,26 @@ class TestEffectiveChannel:
         var = np.maximum(exact * (1 - exact), 1 / MC_SAMPLES) / MC_SAMPLES
         assert np.all(np.abs(mc - exact) <= MC_SIGMAS * np.sqrt(var))
 
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("seed", [0, 3, 7, 42])
+    def test_sampler_matches_the_index_route(self, name, seed):
+        code = _oracle_setup(name)[0]
+        ch = PauliChannel(0.7, 0.1, 0.05, 0.15)
+        got = sample_effective_channel(code, ch, 5000, seed=seed)
+        assert np.array_equal(got, _sample_by_index(code, ch, 5000, seed))
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_sampler_refuses_no_samples(self, n_samples):
+        with pytest.raises(ChannelError, match=f"n_samples must be >= 1, got {n_samples}$"):
+            sample_effective_channel(CODE, PauliChannel.depolarizing(0.1), n_samples)
+
     def test_recovery_variant_gets_its_own_channel(self):
         # a code derived with another recovery gets its own action table,
         # not a stale one, and the original keeps its channel
         code = five_qubit_code()
         ch = PauliChannel.depolarizing(0.1)
         before = effective_channel(code, ch)
-        table = dict(code.recovery_table)
-        s = 0b0001
-        table[s] = multiply(code.logical_x[0], table[s])
-        variant = replace(code, recovery_table=table)
+        variant = _recovery_variant()
         fresh = LogicalActionTable.build(variant)
         assert variant.action_table == fresh
         p = ch.as_array()
@@ -208,7 +274,7 @@ class TestEffectiveChannel:
 class TestSignatureTable:
     def test_enumerator_matches_brute_force(self):
         # every five-qubit error's word from its own syndrome, composition
-        # and class index, in base-4 index order
+        # and class index, in base-4 index order, is the oracle's word list
         code = five_qubit_code()
         words = []
         for letters in itertools.product("IXYZ", repeat=5):
@@ -216,15 +282,26 @@ class TestSignatureTable:
             key = (letters.count("X") * 6 + letters.count("Y")) * 6 + letters.count("Z")
             words.append(code.syndrome(e) << channel.SYNDROME_SHIFT | key << 2
                          | _logical_class_index(code, e))
-        table = code.action_table
-        assert list(table.words) == words
-        assert table.enumerator == Counter(words)
+        assert _word_list(code) == words
+        assert code.action_table.enumerator == tuple(sorted(Counter(words).items()))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODES))
+    def test_fold_matches_the_word_count(self, name):
+        # and cls, derived from the letter signatures, is each listed word's
+        # raw class shifted by its syndrome's recovery
+        code = ORACLE_CODES[name]()
+        table = LogicalActionTable.build(code)
+        words = _word_list(code)
+        assert table.enumerator == tuple(sorted(Counter(words).items()))
+        words = np.array(words)
+        shifts = np.frombuffer(table.shifts, np.uint8)[words >> channel.SYNDROME_SHIFT]
+        assert np.array_equal(table.cls, shifts ^ words & 3)
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_each_syndrome_holds_its_share_of_the_errors(self, name):
         code = _oracle_setup(name)[0]
         per_syndrome = Counter()
-        for w, count in code.action_table.enumerator.items():
+        for w, count in code.action_table.enumerator:
             per_syndrome[w >> channel.SYNDROME_SHIFT] += count
         r = code.n - code.k
         assert per_syndrome == dict.fromkeys(range(2**r), 4**code.n // 2**r)
@@ -239,34 +316,39 @@ class TestSignatureTable:
     def test_recovery_variant_changes_only_the_shifts(self):
         # the signature table holds no decoder: a variant that differs only
         # in its recovery tallies the same words, and shifts their classes
-        code = five_qubit_code()
-        table = dict(code.recovery_table)
-        table[0b0001] = multiply(code.logical_x[0], table[0b0001])
-        variant = replace(code, recovery_table=table)
+        code, variant = five_qubit_code(), _recovery_variant()
         ours, theirs = code.action_table, variant.action_table
-        assert theirs.words == ours.words and theirs.enumerator == ours.enumerator
+        assert theirs.enumerator == ours.enumerator
         assert [s for s in range(16) if theirs.shifts[s] != ours.shifts[s]] == [0b0001]
         assert theirs.coeff != ours.coeff
 
     def test_signature_table_is_read_only(self):
         table = five_qubit_code().action_table
         with pytest.raises(TypeError):
-            table.words[0] = 1
-        with pytest.raises(TypeError):
             table.enumerator[0] = 1
+        with pytest.raises(TypeError):
+            table.enumerator[0][1] = 1
         with pytest.raises(ValueError):
             table.cls[0] = 1
         assert type(table.shifts) is bytes
+        assert type(table.enumerator) is tuple
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_table_hashes_and_pickles(self, name):
+        code = _oracle_setup(name)[0]
+        table = code.action_table
+        assert hash(table) == hash(LogicalActionTable.build(code))
+        back = pickle.loads(pickle.dumps(table))
+        assert back == table and hash(back) == hash(table)
+        assert np.array_equal(back.cls, table.cls)
 
     def test_other_logical_x_gets_its_own_signature_table(self):
         # Xbar times a check acts alike on the code space but pairs
         # differently with the errors, so its raw class indices differ; the
         # recovery's indices differ alike, and the lookup channel is the same
-        code = five_qubit_code()
-        logical_x = multiply(code.logical_x[0], code.stabilizer.generators[0])
-        variant = replace(code, logical_x=(logical_x,))
+        code, variant = five_qubit_code(), _other_logical_x()
         ours, theirs = code.action_table, variant.action_table
-        assert theirs.words != ours.words
+        assert theirs.enumerator != ours.enumerator
         assert theirs.coeff == ours.coeff
         assert np.array_equal(theirs.cls, ours.cls)
 
@@ -717,7 +799,7 @@ class TestMemorySupport:
 
 class TestClassifyError:
     def test_table_route_matches_logical_class(self):
-        """The action table, which sample_effective_channel reads, holds
+        """The action table's cls, the sampler's oracle, holds
         logical_class(recover(e)) at each error's base-4 index, on every
         five-qubit error and on a seeded sample of Steane errors."""
         five = [Pauli.from_string("".join(s))

@@ -94,6 +94,17 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("L", ["1e-200", "1e-160"], ids=["size-zero", "size-subnormal"])
+    def test_memory_support_underflow_refused(self, L, tmp_path, capsys):
+        out = tmp_path / "ms.json"
+        argv = ["memory-support", "--depolarizing", "0.14", "--epsilon", "0.01",
+                "--lattice-L", L, "--dimension", "2", "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: memory support 5^6 * {float(L)}^2 underflows a float\n"
+        )
+        assert not out.exists()
+
     def test_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "code.json"
         assert run(["code", "--code", "five-qubit", "--out", str(out)]) == 0
