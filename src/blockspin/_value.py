@@ -10,13 +10,24 @@ each decorated class exec-compiles six methods: a start-up cost that every
 short CLI job would pay before its first result.  Instances keep their
 `__dict__`, so `cached_property` works on them.
 
-`hash` and `pickle` reach every field, as with `dataclasses`: a value that
-holds a read-only view (`StabilizerCode.recovery_table` and
-`ConcatenatedTiling.addresses`, both `MappingProxyType`) still compares by
-value but raises on `hash()` and on `pickle.dumps`.
+Before `__post_init__`, a `tuple[...]` field is stored as a tuple and a
+`Mapping[...]` field as a read-only view of its own copy, out of reach of
+the caller's dict.  A view hashes as the frozenset of its items and pickles
+as a view of a copy, so every value pickles and hashes if its fields do.
 """
 
+import copyreg
 from operator import attrgetter
+from types import MappingProxyType
+
+
+def _view(mapping) -> MappingProxyType:
+    """A read-only view of a copy of `mapping` (pickle rebuilds views with it)."""
+    return MappingProxyType(dict(mapping))
+
+
+copyreg.pickle(MappingProxyType, lambda view: (_view, (dict(view),)))
+_STORE = {"tuple": tuple, "Mapping": _view}  # by annotation head, the name before "["
 
 
 def _frozen_error(message: str) -> AttributeError:
@@ -47,6 +58,10 @@ def _bind(name: str, fields: tuple[str, ...], defaults: dict, args: tuple, kwarg
 def frozen(cls: type) -> type:
     """`cls` as a frozen value type (see the module docstring)."""
     fields = tuple(cls.__annotations__)
+    # str() reads a string annotation and an evaluated one, module prefix and all
+    heads = [str(a).split("[", 1)[0].rsplit(".", 1)[-1] for a in cls.__annotations__.values()]
+    stores = tuple((f, _STORE[h]) for f, h in zip(fields, heads) if h in _STORE)
+    mappings = "Mapping" in heads
     defaults = {f: vars(cls)[f] for f in fields if f in vars(cls)}
     if len(fields) == 1:  # attrgetter of one name returns the value, not a 1-tuple
         get = attrgetter(fields[0])
@@ -56,6 +71,11 @@ def frozen(cls: type) -> type:
     else:
         values = attrgetter(*fields)
     post_init = getattr(cls, "__post_init__", None)
+    if stores:  # stored before the class's own __post_init__ runs
+        def post_init(self, then=post_init):
+            self.__dict__.update((f, store(self.__dict__[f])) for f, store in stores)
+            if then is not None:
+                then(self)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(fields):
@@ -74,6 +94,9 @@ def frozen(cls: type) -> type:
         return NotImplemented
 
     def __hash__(self):
+        if mappings:  # a read-only view hashes as the frozenset of its items
+            return hash(tuple(frozenset(v.items()) if type(v) is MappingProxyType else v
+                              for v in values(self)))
         return hash(values(self))
 
     def __setattr__(self, name, value):

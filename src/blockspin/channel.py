@@ -182,7 +182,7 @@ class LogicalActionTable:
         cols = {((x * b + y) * b + z) << 2: [0, 0, 0, 0] for _, x, y, z in exps}
         for w, cnt in enumerator.items():  # one pass over W's nonzero entries
             cols[w & (1 << SYNDROME_SHIFT) - 4][w & 3 ^ shifts[w >> SYNDROME_SHIFT]] += cnt
-        table = cls(tuple(sorted(enumerator.items())), shifts, tuple(zip(*cols.values())), exps)
+        table = cls(sorted(enumerator.items()), shifts, zip(*cols.values()), exps)
         table.__dict__["_letters"] = letters  # what cls reads; not a field
         return table
 
@@ -225,14 +225,10 @@ def sample_effective_channel(
 
 @frozen
 class FlowTrajectory:
-    """Channel iterates with their quality values and the final verdict;
-    frozen, with the levels as a tuple (any iterable is accepted)."""
+    """Channel iterates with their quality values and the final verdict."""
 
     levels: tuple[tuple[int, PauliChannel, float], ...]
     verdict: str  # converged-to-{identity,noise,fixed-point} | max-iterations
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
 
 
 def flow(
@@ -246,12 +242,12 @@ def flow(
     Verdict is identity when the total error probability drops below tol,
     noise when the quality stops decreasing while still far from identity,
     fixed point when a level maps any other channel exactly onto itself.
-    Raises ChannelError unless max_levels >= 0 and tol > 0.
+    Raises ChannelError unless max_levels >= 0 and 0 < tol < 1.
     """
     if not max_levels >= 0:
         raise ChannelError(f"max_levels must be >= 0, got {max_levels}")
-    if not tol > 0:
-        raise ChannelError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < 1:
+        raise ChannelError(f"tol must be in (0, 1), got {tol}")
     current, q = ch, ch.quality()
     levels = [(0, current, q)]
     if current.error_probability() < tol:
@@ -302,8 +298,8 @@ def threshold(
 
     family: p -> PauliChannel.  Requires order 1 at p_lo and 0 at p_hi.
     Returns the bracket midpoint once the bracket is narrower than width.
-    Raises ChannelError unless width > 0, and when the bracket can no longer
-    be halved in floating point before reaching the width.
+    Raises ChannelError unless width is positive and finite, and when the
+    bracket can no longer be halved in floating point before reaching the width.
 
     On a family the map keeps invariant (to FAMILY_INVARIANCE_ATOL at three
     points of the bracket) the map is p -> g(p), with g(p) < p exactly on the
@@ -317,8 +313,8 @@ def threshold(
     """
     if not p_lo < p_hi:
         raise ChannelError(f"invalid bracket ({p_lo}, {p_hi})")
-    if not width > 0:
-        raise ChannelError(f"width must be > 0, got {width}")
+    if not 0 < width < math.inf:
+        raise ChannelError(f"width must be > 0 and finite, got {width}")
     if order_parameter(code, family(p_lo), max_levels) != 1:
         raise ChannelError(f"order parameter at p_lo={p_lo} is not 1")
     if order_parameter(code, family(p_hi), max_levels) != 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -51,11 +52,7 @@ ERROR_HELP = "Pauli string, e.g. XXYZI; give a signed one as --error=-iXXYZI"
 def _meta(args: argparse.Namespace) -> dict:
     # output paths are plumbing, not configuration: identical settings must
     # produce byte-identical artifacts regardless of where they are written
-    cfg = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "out", "svg")
-    }
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "svg")}
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -434,11 +431,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; remap to the documented exit 1
         return 0 if exc.code == 0 else 1
     try:
+        for path in (args.out, getattr(args, "svg", None)):  # refused before the work
+            if path not in ("-", None) and not os.access(os.path.dirname(path) or ".", os.W_OK):
+                raise OSError(None, "no such writable directory", path)
         body, status = args.func(args)
         _write(args.out, _artifact(args, body))
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a usage error: the path given cannot be written
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
     print(status, file=sys.stderr)
     return 0
 

@@ -57,8 +57,6 @@ class StabilizerCode:
         if len(self.stabilizer.generators) != self.n - self.k:
             raise CodeError("expected n-k independent stabilizer generators")
         table = {0: Pauli.identity(self.n), **self.recovery_table}
-        object.__setattr__(self, "logical_x", tuple(self.logical_x))
-        object.__setattr__(self, "logical_z", tuple(self.logical_z))
         object.__setattr__(self, "recovery_table", MappingProxyType(table))
 
     @cached_property
@@ -138,9 +136,7 @@ class StabilizerCode:
         return cls(
             n=doc["n"],
             k=doc["k"],
-            stabilizer=StabilizerGroup(
-                doc["n"], [Pauli.from_string(s) for s in doc["generators"]]
-            ),
+            stabilizer=StabilizerGroup(doc["n"], [Pauli.from_string(s) for s in doc["generators"]]),
             logical_x=[Pauli.from_string(s) for s in doc["logical_x"]],
             logical_z=[Pauli.from_string(s) for s in doc["logical_z"]],
             recovery_table={
@@ -358,15 +354,12 @@ def toric_code(L: int) -> StabilizerCode:
 
 @frozen
 class TileHamiltonian:
-    """H = -sum_i K_i M_i over pairwise-commuting check operators, K_i > 0;
-    frozen, with couplings and terms as tuples (any iterables are accepted)."""
+    """H = -sum_i K_i M_i over pairwise-commuting check operators, K_i > 0."""
 
     couplings: tuple[float, ...]
     terms: tuple[Pauli, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "couplings", tuple(self.couplings))
-        object.__setattr__(self, "terms", tuple(self.terms))
         if len(self.couplings) != len(self.terms):
             raise CodeError("one coupling per term required")
         if any(k <= 0 for k in self.couplings):

@@ -44,14 +44,12 @@ class AlgebraError(ValueError):
 
 @frozen
 class OperatorSet:
-    """Generators of an interaction algebra on a dim-dimensional space;
-    frozen, with the generators as a tuple (any iterable is accepted)."""
+    """Generators of an interaction algebra on a dim-dimensional space."""
 
     dim: int
     generators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
         if self.dim > DIM_CAP:
             raise AlgebraError(f"dimension {self.dim} exceeds cap {DIM_CAP}")
         if not self.generators:
@@ -72,9 +70,6 @@ class Block:
 class AlgebraDecomposition:
     dim: int
     blocks: tuple[Block, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @property
     def algebra_dim(self) -> int:

@@ -160,15 +160,13 @@ def commutes(p: Pauli, q: Pauli) -> bool:
 class StabilizerGroup:
     """A group of commuting Paulis given by an ordered generating set.
 
-    Frozen, with the generators as a tuple (any iterable is accepted), so
-    the canonical rows cached on first use stay those of the group.
+    Frozen, so the canonical rows cached on first use stay those of the group.
     """
 
     n: int
     generators: tuple[Pauli, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
         for g in self.generators:
             if g.n != self.n:
                 raise PauliError("generator length does not match group size")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import cached_property
-from types import MappingProxyType
 
 from ._value import frozen
 
@@ -42,9 +41,8 @@ class Tiling:
     """Translates of one tile shape placed at centers on the L x L torus;
     centers[tile_id] is the tile's anchor site.
 
-    Frozen, with the tile shape and the centers as tuples (any iterables
-    are accepted), so the cover and the geometry derived from them on first
-    use stay theirs.
+    Frozen, with each tile offset a tuple too, so the cover and the
+    geometry derived from the shape and centers on first use stay theirs.
     """
 
     L: int
@@ -56,7 +54,6 @@ class Tiling:
         if self.L < 1:
             raise TilingError(f"extent L must be >= 1, got {self.L}")
         object.__setattr__(self, "tile_shape", tuple(map(tuple, self.tile_shape)))
-        object.__setattr__(self, "centers", tuple(self.centers))
 
     @property
     def tile_count(self) -> int:
@@ -237,16 +234,11 @@ def _tiles_by_its_centers(t: Tiling) -> bool:
 @frozen
 class ConcatenatedTiling:
     """r-level hierarchical blocking; each site gets a position path and a
-    top-level tile index.  Frozen, with the addresses as a read-only view
-    of the mapping it is given."""
+    top-level tile index."""
 
     base: Tiling
     levels: int
     addresses: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]]
-
-    def __post_init__(self):
-        if not isinstance(self.addresses, MappingProxyType):
-            object.__setattr__(self, "addresses", MappingProxyType(self.addresses))
 
     @property
     def top_tile_count(self) -> int:

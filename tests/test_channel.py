@@ -437,6 +437,8 @@ class TestFlow:
             ({"tol": 0.0}, "tol"),
             ({"tol": -1e-12}, "tol"),
             ({"tol": math.nan}, "tol"),
+            ({"tol": 1.0}, "tol must be in"),
+            ({"tol": math.inf}, "tol"),
         ],
     )
     def test_meaningless_parameters_refused(self, kwargs, match):
@@ -707,7 +709,7 @@ class TestOrderParameterAndThreshold:
         with pytest.raises(ChannelError):
             threshold(CODE, PauliChannel.depolarizing, 0.3, 0.01)
 
-    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_width_refused(self, width):
         with pytest.raises(ChannelError, match="width must be > 0"):
             threshold(CODE, PauliChannel.depolarizing, 0.01, 0.3, width=width)

@@ -198,11 +198,12 @@ class TestExitCodes:
         assert "COUNT" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("width", ["0", "-1", "nan", "1e-20"])
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf", "1e-20"])
     def test_threshold_bad_width_refused(self, width, tmp_path, capsys):
         out = tmp_path / "threshold.json"
         assert run(["threshold", "--width", width, "--out", str(out)]) == 2
         assert "width" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, match",
@@ -212,6 +213,8 @@ class TestExitCodes:
             (["memory-support", "--depolarizing", "nan", "--epsilon", "0.5"], "non-finite"),
             (["channel-flow", "--depolarizing", "0.1", "--max-levels", "-1"], "max_levels"),
             (["channel-flow", "--depolarizing", "0.1", "--tol", "0"], "tol"),
+            (["channel-flow", "--depolarizing", "0.7", "--tol", "inf"], "tol"),
+            (["channel-flow", "--depolarizing", "0.7", "--tol", "1"], "tol"),
             (["threshold", "--max-levels", "-1"], "max_levels"),
             (["memory-support", "--depolarizing", "0.3", "--epsilon", "0.5",
               "--lattice-L", "-2"], "lattice spacing"),
@@ -220,7 +223,8 @@ class TestExitCodes:
             (["memory-support", "--depolarizing", "0.3", "--epsilon", "0.5",
               "--dimension", "0"], "dimension"),
         ],
-        ids=["flow-nan", "flow-inf", "support-nan", "max-levels", "tol", "threshold-levels",
+        ids=["flow-nan", "flow-inf", "support-nan", "max-levels", "tol", "tol-inf", "tol-one",
+             "threshold-levels",
              "negative-L", "infinite-L", "dimension"],
     )
     def test_meaningless_channel_input_refused(self, argv, match, tmp_path, capsys):
@@ -300,6 +304,30 @@ class TestExitCodes:
         out = tmp_path / "threshold.json"
         assert run(["threshold", "--max-levels", "1", "--out", str(out)]) == 2
         assert "unresolved" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["code", "--out"], "x.json"), (["tiling", "--L", "25", "--svg"], "t.svg"),
+         (["toric", "--L", "41", "--out"], "x.csv")],
+        ids=["code-out", "tiling-svg", "toric-out"],
+    )
+    def test_unwritable_path_refused_before_the_work(self, argv, name, tmp_path, capsys):
+        path = tmp_path / "missing" / name
+        start = time.perf_counter()
+        assert run([*argv, str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {path}: no such writable directory\n"
+        assert not path.parent.exists()
+
+    def test_write_failure_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.svg"
+        path.mkdir()
+        out = tmp_path / "tiling.json"
+        assert run(["tiling", "--L", "25", "--svg", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {path}: Is a directory\n"
         assert not out.exists()
 
     def test_every_package_error_is_a_domain_error(self):
